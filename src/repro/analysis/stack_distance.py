@@ -42,31 +42,42 @@ def stack_distances(requests: Sequence[Request],
     the eviction boundary (a byte-bounded LRU evicts whole documents),
     which is why the byte curve helper carries a tolerance.
     """
-    n = len(requests)
+    weights = ([request.size for request in requests] if byte_weighted
+               else [1] * len(requests))
+    return keyed_stack_distances([request.url for request in requests],
+                                 weights)
+
+
+def keyed_stack_distances(keys: Sequence, weights: Sequence[int],
+                          ) -> List[float]:
+    """Weighted stack distances over parallel key and weight lists.
+
+    ``keys[i]`` names the document of reference ``i`` (a url, or an
+    interned id: any partition of the references works) and
+    ``weights[i]`` is its weight at that reference.  The distance is
+    the weight of the distinct documents referenced strictly between a
+    reference and the previous one to the same key, each at its latest
+    weight; first references get :data:`COLD`.  Python-int arithmetic
+    keeps byte sums exact.
+    """
+    n = len(keys)
+    distances: List[float] = [COLD] * n
     if n == 0:
-        return []
+        return distances
     tree = FenwickTree(n)
-    last_position: Dict[str, int] = {}
-    distances: List[float] = []
-    for position, request in enumerate(requests):
-        weight = request.size if byte_weighted else 1
-        previous = last_position.get(request.url)
-        if previous is None:
-            distances.append(COLD)
-        else:
+    last_position: Dict[object, int] = {}
+    for position in range(n):
+        key = keys[position]
+        previous = last_position.get(key)
+        if previous is not None:
             # Distinct documents touched strictly between the two
             # references = flagged weight in (previous, position).
-            distances.append(
-                float(tree.range_sum(previous + 1, position - 1)))
-            tree.add(previous, -tree_weight(tree, previous))
-        tree.add(position, weight)
-        last_position[request.url] = position
+            distances[position] = float(
+                tree.range_sum(previous + 1, position - 1))
+            tree.add(previous, -tree.range_sum(previous, previous))
+        tree.add(position, weights[position])
+        last_position[key] = position
     return distances
-
-
-def tree_weight(tree: FenwickTree, index: int) -> int:
-    """Current cell value at ``index`` (point query via range sum)."""
-    return tree.range_sum(index, index)
 
 
 @dataclass

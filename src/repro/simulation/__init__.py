@@ -16,13 +16,13 @@ stream through a :class:`~repro.core.cache.Cache`, with
 grid, the shape of every performance figure in the paper.
 
 The :mod:`~repro.simulation.engine` module underneath splits the
-simulator into a once-per-pass reference stream and per-configuration
-cache cells, so :func:`~repro.simulation.engine.run_cells` (and the
+simulator into once-per-pass trace work and per-configuration cache
+cells, so :func:`~repro.simulation.engine.run_cells` (and the
 ``engine="batched"`` mode of the sweep entry points) runs a whole grid
 over one trace pass with bit-identical results.
 """
 
-from repro.simulation.engine import CacheCell, ReferenceStream, run_cells
+from repro.simulation.engine import CacheCell, run_cells
 from repro.simulation.metrics import RateAccumulator, TypeMetrics
 from repro.simulation.occupancy import OccupancySample, OccupancyTracker
 from repro.simulation.results import (
@@ -57,7 +57,6 @@ __all__ = [
     "FailureRecord",
     "cell_key",
     "CacheCell",
-    "ReferenceStream",
     "run_cells",
     "CacheSimulator",
     "SimulationConfig",

@@ -3,50 +3,35 @@
 Sweeping the paper's grids costs ``O(cells × requests)`` when every
 (policy, capacity) cell re-iterates the trace: trace iteration,
 :class:`SizeInterpretation` resolution, and modification/staleness
-reconstruction are identical across cells, yet the classic simulator
-repays them per cell.  This module splits the simulator into the two
-stages that actually differ in reusability:
-
-* :class:`ReferenceStream` — the per-request *reference-stream* stage.
-  It resolves each raw :class:`~repro.types.Request` into an immutable
-  reference tuple ``(url, size, doc_type, transfer, raw_size,
-  timestamp)`` exactly once per pass.  Resolution state (the
-  :class:`~repro.trace.modification.ModificationDetector`) depends only
-  on the size interpretation and tolerance — never on the cache — so
-  one resolver serves every cell that shares those knobs.
-
-* :class:`CacheCell` — one cache + policy +
-  :class:`~repro.simulation.metrics.TypeMetrics` (plus optional
-  occupancy/latency/cost accounting) consuming resolved references.
-  Cells are independent: N of them ride the same pass, so a sweep
-  costs one trace iteration instead of N.
-
-:func:`run_cells` drives any number of cells over one pass and returns
-their :class:`~repro.simulation.results.SimulationResult`\\ s in input
-order, **bit-identical** to running each cell through
+reconstruction are identical across cells, yet a per-cell simulator
+repays them per cell.  :func:`run_cells` pays them once: it drives any
+number of :class:`CacheCell`\\ s — one cache + policy +
+:class:`~repro.simulation.metrics.TypeMetrics` each, plus optional
+occupancy/latency/cost/freshness accounting — over **one** pass and
+returns their :class:`~repro.simulation.results.SimulationResult`\\ s
+in input order, **bit-identical** to running each cell through
 :class:`~repro.simulation.simulator.CacheSimulator` alone.  Identity
 holds because (a) each cell still sees every reference in trace order,
 (b) requested-side tallies are integers (order-independent sums), and
 (c) cost accumulation — the one float — only happens in per-cell
-general mode, which replays the classic per-request loop.
+general mode, which replays the per-request loop.
 
-LRU inclusion fast path
------------------------
+:func:`run_cells` has one set-up (cells, warm-up boundaries, the
+``pass`` span, telemetry) and two drivers:
 
-A byte-bounded LRU cache is a stack algorithm whenever no reference
-bypasses the cache and no resident copy is invalidated: a reference
-then hits a capacity-``C`` cache **iff** its byte-weighted stack
-distance plus the document size is ≤ ``C``.  (Eviction of ``d``
-requires residents above ``d`` plus the incoming document to exceed
-``C − size(d)``, and all of those are intervening distinct documents;
-conversely at a hit every intervening document is resident above
-``d``.)  Under those preconditions — ``TRUSTED`` sizes, per-URL sizes
-stable across the trace, every document no larger than the capacity,
-no TTL model, and plain LRU with no extra accounting — the entire LRU
-capacity ladder is served by **one**
-:func:`repro.analysis.stack_distance.stack_distances` pass, with exact
-hit/eviction counts.  Cells that fail any precondition silently fall
-back to ordinary simulation in the shared pass.
+* every materialized trace — a
+  :class:`~repro.trace.columnar.ColumnarTrace`, or a
+  :class:`~repro.types.Trace` or request list, which is first encoded
+  into an in-memory column view — runs through the column driver of
+  :mod:`repro.simulation.vectorized`, with its exact all-capacities
+  LRU ladder and the other array fast paths;
+* a lazy request iterator with a declared ``total_requests`` runs
+  through :func:`drive_pass`, which resolves each chunk of requests
+  into reference tuples ``(url, size, doc_type, transfer, raw_size,
+  timestamp)`` once per size interpretation and feeds them to every
+  cell, with bounded memory.
+  :class:`~repro.simulation.simulator.CacheSimulator` drives its one
+  cell through the same function.
 """
 
 from __future__ import annotations
@@ -57,7 +42,6 @@ from itertools import islice
 from typing import (
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -67,7 +51,6 @@ from typing import (
 
 from repro.core.cache import Cache
 from repro.core.gdstar import GDStarPolicy
-from repro.core.lru import LRUPolicy
 from repro.core.policy import AccessOutcome, ReplacementPolicy
 from repro.core.registry import make_policy
 from repro.errors import ConfigurationError, SimulationError
@@ -80,6 +63,7 @@ from repro.simulation.freshness import FreshnessTracker, TTLModel
 from repro.simulation.metrics import TypeMetrics
 from repro.simulation.occupancy import OccupancyTracker
 from repro.simulation.results import SimulationResult
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.modification import ModificationDetector, ModificationPolicy
 from repro.types import DOCUMENT_TYPES, DocumentType, Request, Trace
 
@@ -205,35 +189,16 @@ def make_resolver(config: SimulationConfig):
     return _DetectorResolver(policy, config.modification_tolerance)
 
 
-class ReferenceStream:
-    """Resolves raw requests into reference tuples once per pass.
-
-    Resolution state is keyed by ``(interpretation, tolerance)``: every
-    cell sharing those knobs consumes the same resolved chunk, so the
-    modification detector runs once regardless of how many cells ride
-    the pass.
-    """
-
-    def __init__(self):
-        self._resolvers: Dict[tuple, object] = {}
-
-    @staticmethod
-    def resolver_key(config: SimulationConfig) -> tuple:
-        interp = config.size_interpretation
-        if interp is SizeInterpretation.TRUSTED:
-            return ("trusted",)
-        return (interp.value, config.modification_tolerance)
-
-    def resolver(self, config: SimulationConfig):
-        key = self.resolver_key(config)
-        resolver = self._resolvers.get(key)
-        if resolver is None:
-            resolver = make_resolver(config)
-            self._resolvers[key] = resolver
-        return resolver
+def resolver_key(config: SimulationConfig) -> tuple:
+    """Cells whose configs share this key resolve sizes identically,
+    so one resolver (or one resolved column) serves them all."""
+    interp = config.size_interpretation
+    if interp is SizeInterpretation.TRUSTED:
+        return ("trusted",)
+    return (interp.value, config.modification_tolerance)
 
 
-# ----- stage (b): cache cells -----------------------------------------------
+# ----- cache cells ----------------------------------------------------------
 
 
 class CacheCell:
@@ -483,39 +448,21 @@ def _accumulate_requested(raw_chunk: Sequence[Request], start: int,
             bucket[1] += t if t < size else size
 
 
-def drive_pass(requests: Sequence[Request], offset: int,
+def drive_pass(requests: Iterable[Request],
                groups: Sequence[Tuple[object, List[CacheCell]]],
                boundaries: Optional[Dict[int, Dict[DocumentType, list]]],
-               chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
-    """Feed ``requests`` (absolute positions starting at ``offset``)
-    through each resolver group's cells, chunk by chunk."""
-    n = len(requests)
-    for start in range(0, n, chunk_size):
-        raw = requests[start:start + chunk_size]
-        absolute_start = offset + start
-        for resolver, cell_list in groups:
-            chunk = resolver.resolve(raw)
-            for cell in cell_list:
-                cell.process_chunk(chunk, absolute_start)
-        if boundaries:
-            _accumulate_requested(raw, absolute_start, boundaries)
+               offset: int = 0) -> int:
+    """Feed requests through each resolver group's cells, chunk by chunk.
 
-
-def drive_pass_streaming(request_iter: Iterator[Request],
-                         groups: Sequence[Tuple[object, List[CacheCell]]],
-                         boundaries: Optional[Dict[int, Dict[DocumentType,
-                                                             list]]],
-                         chunk_size: int = DEFAULT_CHUNK_SIZE) -> int:
-    """Feed a lazily decoded request stream through the cells.
-
-    The bounded-memory sibling of :func:`drive_pass`: only one chunk of
-    raw requests (plus its resolved tuples) is alive at a time, so a
-    multi-million-request trace file drives N cells without ever being
-    materialized.  Returns the number of requests consumed.
+    ``offset`` is the absolute position of the first request.  Only one
+    chunk of raw requests (plus its resolved tuples) is alive at a
+    time, so a lazily decoded multi-million-request trace file drives N
+    cells without ever being materialized.  Returns the absolute
+    position after the last request consumed.
     """
-    offset = 0
+    request_iter = iter(requests)
     while True:
-        raw = list(islice(request_iter, chunk_size))
+        raw = list(islice(request_iter, DEFAULT_CHUNK_SIZE))
         if not raw:
             return offset
         for resolver, cell_list in groups:
@@ -527,214 +474,96 @@ def drive_pass_streaming(request_iter: Iterator[Request],
         offset += len(raw)
 
 
-def _lru_ladder_split(requests: Sequence[Request],
-                      cells: Sequence[CacheCell],
-                      ) -> Tuple[List[CacheCell], List[CacheCell]]:
-    """Partition cells into (ladder, ordinary) for the LRU fast path.
-
-    Config-side preconditions: plain LRU, TRUSTED sizes, deferred mode
-    (no cost/latency/occupancy/TTL accounting).  Trace-side: every URL
-    keeps one size across the trace and no document exceeds the cell's
-    capacity (so no bypasses, no invalidations — the regime where
-    byte-bounded LRU obeys inclusion exactly).
-    """
-    candidates = [
-        cell for cell in cells
-        if (cell.deferred
-            and type(cell.policy) is LRUPolicy
-            and type(cell.cache) is Cache
-            and (cell.config.size_interpretation
-                 is SizeInterpretation.TRUSTED))
-    ]
-    if not candidates:
-        return [], list(cells)
-    sizes: Dict[str, int] = {}
-    max_size = 0
-    stable = True
-    for r in requests:
-        size = r.size
-        previous = sizes.get(r.url)
-        if previous is None:
-            sizes[r.url] = size
-            if size > max_size:
-                max_size = size
-        elif previous != size:
-            stable = False
-            break
-    if not stable:
-        return [], list(cells)
-    ladder = [cell for cell in candidates
-              if cell.config.capacity_bytes >= max_size]
-    if not ladder:
-        return [], list(cells)
-    excluded = set(map(id, ladder))
-    ordinary = [cell for cell in cells if id(cell) not in excluded]
-    return ladder, ordinary
-
-
-def _run_lru_ladder(requests: Sequence[Request],
-                    cells: Sequence[CacheCell]) -> None:
-    """Serve every eligible LRU cell from one stack-distance pass.
-
-    Hits: a reference hits capacity ``C`` iff byte-weighted stack
-    distance + document size ≤ ``C`` (exact under the preconditions
-    checked by :func:`_lru_ladder_split`).  Evictions: admissions equal
-    misses (every miss admits — nothing bypasses), so evictions =
-    misses − residents at end of trace; the final resident set falls
-    out of the last-reference recency order.
-    """
-    from repro.analysis.stack_distance import stack_distances
-
-    distances = stack_distances(requests, byte_weighted=True)
-    capacities = [cell.config.capacity_bytes for cell in cells]
-    warmups = [cell._warmup for cell in cells]
-    overalls = [cell._hit_overall for cell in cells]
-    by_types = [cell._hit_by_type for cell in cells]
-    total_hits = [0] * len(cells)
-    indices = range(len(cells))
-    position = 0
-    for request, distance in zip(requests, distances):
-        position += 1
-        size = request.size
-        t = request.transfer_size
-        transfer = t if t < size else size
-        needed = distance + size
-        doc_type = request.doc_type
-        for i in indices:
-            if needed <= capacities[i]:
-                total_hits[i] += 1
-                if position > warmups[i]:
-                    overall = overalls[i]
-                    overall[0] += 1
-                    overall[1] += transfer
-                    bucket = by_types[i][doc_type]
-                    bucket[0] += 1
-                    bucket[1] += transfer
-    last: Dict[str, tuple] = {}
-    for p, r in enumerate(requests):
-        last[r.url] = (p, r.size)
-    residents = [0] * len(cells)
-    max_capacity = max(capacities) if capacities else 0
-    cumulative = 0
-    for _, size in sorted(last.values(), key=lambda item: -item[0]):
-        if cumulative > max_capacity:
-            break
-        for i in indices:
-            if cumulative + size <= capacities[i]:
-                residents[i] += 1
-        cumulative += size
-    total = len(requests)
-    for i, cell in enumerate(cells):
-        admissions = total - total_hits[i]
-        cell._evictions_override = admissions - residents[i]
-
-
-def run_cells(trace: Union[Trace, Sequence[Request], Iterable[Request]],
+def run_cells(trace: Union[Trace, ColumnarTrace, Sequence[Request],
+                           Iterable[Request]],
               configs: Sequence[Union[SimulationConfig, CacheCell]],
               trace_name: Optional[str] = None,
-              chunk_size: int = DEFAULT_CHUNK_SIZE,
               lru_fast_path: bool = True,
-              timings: Optional[PhaseTimings] = None,
               total_requests: Optional[int] = None,
               ) -> List[SimulationResult]:
     """Run every cell over the trace in **one shared pass**.
 
     Args:
-        trace: The driving workload — a :class:`~repro.types.Trace`, a
-            request sequence, or (with ``total_requests``) a lazy
-            iterator such as :func:`repro.trace.pipeline.iter_trace`,
-            consumed chunk-wise with bounded memory.
+        trace: The driving workload.  A columnar trace, a
+            :class:`~repro.types.Trace`, or a request list or tuple
+            runs through the column driver (the latter three via
+            :meth:`ColumnarTrace.from_requests`, built per call).  A
+            lazy iterator such as :func:`repro.trace.pipeline.iter_trace`
+            is consumed chunk-wise with bounded memory when
+            ``total_requests`` is given, and materialized otherwise.
         configs: One :class:`SimulationConfig` (or prebuilt
             :class:`CacheCell`) per cell.
         trace_name: Overrides the trace's name in the results.
-        chunk_size: Requests resolved per chunk.
         lru_fast_path: Allow eligible plain-LRU cells to be served by
             the single-pass stack-distance ladder (materialized traces
             only; streaming passes always simulate every cell).
-        timings: Optional :class:`PhaseTimings` to record pass phases
-            into ("pass", "lru_ladder", "aggregate").
-        total_requests: Declared stream length, required to place the
-            warm-up boundaries before the pass starts.  An iterator
-            without it is materialized first.  The pass raises
-            :class:`~repro.errors.SimulationError` if the stream
-            disagrees with the declared length.
+        total_requests: Declared trace length, required to place the
+            warm-up boundaries before a streaming pass starts.  The
+            pass raises :class:`~repro.errors.SimulationError` if the
+            trace, of any kind, disagrees with it.
 
     Returns results in input order, bit-identical to running each
     config through :class:`~repro.simulation.simulator.CacheSimulator`.
     """
-    if getattr(trace, "is_columnar", False):
-        from repro.simulation.vectorized import run_cells_columnar
+    from repro.simulation.vectorized import drive_columns
 
-        return run_cells_columnar(
-            trace, configs, trace_name=trace_name,
-            chunk_size=chunk_size, lru_fast_path=lru_fast_path,
-            timings=timings, total_requests=total_requests)
-    requests = trace.requests if isinstance(trace, Trace) else trace
-    streaming = not isinstance(requests, (list, tuple))
-    if streaming and total_requests is None:
-        requests = list(requests)
-        streaming = False
     name = trace_name or getattr(trace, "name", "trace")
-    total = total_requests if streaming else len(requests)
-    cells: List[CacheCell] = []
-    for config in configs:
-        cell = config if isinstance(config, CacheCell) else CacheCell(config)
-        cells.append(cell)
+    if isinstance(trace, Trace):
+        trace = trace.requests
+    streaming = not getattr(trace, "is_columnar", False)
+    if streaming and (total_requests is None
+                      or isinstance(trace, (list, tuple))):
+        trace = ColumnarTrace.from_requests(trace, name)
+        streaming = False
+    total = total_requests if streaming else len(trace)
+    cells = [config if isinstance(config, CacheCell) else CacheCell(config)
+             for config in configs]
+    boundaries: Dict[int, Dict[DocumentType, list]] = {}
     for cell in cells:
-        warmup = int(total * cell.config.warmup_fraction)
-        cell.begin_run(warmup, deferred=True)
-    if timings is None:
-        timings = PhaseTimings()
+        cell.begin_run(int(total * cell.config.warmup_fraction),
+                       deferred=True)
+        if cell.deferred and cell._warmup not in boundaries:
+            boundaries[cell._warmup] = _new_requested_totals()
+    timings = PhaseTimings()
     emit("pass_started", cells=len(cells), requests=total)
     pass_span = _span("pass", cells=len(cells), requests=total,
                       trace=name, streaming=streaming)
     with pass_span:
-        if lru_fast_path and not streaming:
-            ladder, ordinary = _lru_ladder_split(requests, cells)
+        if streaming:
+            groups: Dict[tuple, Tuple[object, List[CacheCell]]] = {}
+            for cell in cells:
+                key = resolver_key(cell.config)
+                if key not in groups:
+                    groups[key] = (make_resolver(cell.config), [])
+                groups[key][1].append(cell)
+            with _span("drive"), phase_timer("pass", timings):
+                seen = drive_pass(trace, list(groups.values()),
+                                  boundaries)
+            n_ladder = n_fifo = 0
         else:
-            ladder, ordinary = [], list(cells)
-        pass_span.set_attribute("lru_fast_path_cells", len(ladder))
-        stream = ReferenceStream()
-        grouped: Dict[tuple, Tuple[object, List[CacheCell]]] = {}
-        for cell in ordinary:
-            key = stream.resolver_key(cell.config)
-            if key not in grouped:
-                grouped[key] = (stream.resolver(cell.config), [])
-            grouped[key][1].append(cell)
-        boundaries: Dict[int, Dict[DocumentType, list]] = {}
-        for cell in cells:
-            if cell.deferred and cell._warmup not in boundaries:
-                boundaries[cell._warmup] = _new_requested_totals()
-        with _span("drive"), phase_timer("pass", timings):
-            if streaming:
-                seen = drive_pass_streaming(iter(requests),
-                                            list(grouped.values()),
-                                            boundaries, chunk_size)
-                if seen != total:
-                    raise SimulationError(
-                        f"trace stream yielded {seen} requests but "
-                        f"total_requests={total} was declared; warm-up "
-                        "boundaries would be wrong")
-            else:
-                drive_pass(requests, 0, list(grouped.values()),
-                           boundaries, chunk_size)
-        if ladder:
-            with _span("lru_ladder", cells=len(ladder)), \
-                    phase_timer("lru_ladder", timings):
-                _run_lru_ladder(requests, ladder)
+            seen = len(trace)
+            n_ladder, n_fifo = drive_columns(trace, cells, boundaries,
+                                             timings, lru_fast_path)
+        if total_requests is not None and seen != total_requests:
+            raise SimulationError(
+                f"trace yielded {seen} requests but total_requests="
+                f"{total_requests} was declared; warm-up boundaries "
+                "would be wrong")
+        pass_span.set_attribute("lru_fast_path_cells", n_ladder)
+        pass_span.set_attribute("fifo_fast_path_cells", n_fifo)
         with _span("aggregate"), phase_timer("aggregate", timings):
             results = [cell.finalize(name, total,
                                      boundaries.get(cell._warmup))
                        for cell in cells]
-    _publish_pass_telemetry(results, timings, len(cells), len(ladder),
-                            total)
+    _publish_pass_telemetry(results, timings, len(cells), n_ladder,
+                            total, n_fifo)
     return results
 
 
 def _publish_pass_telemetry(results: Sequence[SimulationResult],
                             timings: PhaseTimings, n_cells: int,
                             n_ladder: int, total_requests: int,
-                            n_fifo: int = 0) -> None:
+                            n_fifo: int) -> None:
     """Batch one pass's aggregates into the metrics registry — one
     update per pass, never one per request or per cell."""
     registry = get_registry()
@@ -744,6 +573,9 @@ def _publish_pass_telemetry(results: Sequence[SimulationResult],
         if n_ladder:
             registry.counter("engine_lru_fast_path_cells_total").inc(
                 n_ladder)
+        if n_fifo:
+            registry.counter("engine_fifo_fast_path_cells_total").inc(
+                n_fifo)
         registry.counter("engine_pass_requests_total").inc(total_requests)
         for phase, seconds in timings.as_dict().items():
             registry.histogram("engine_phase_seconds",
@@ -752,9 +584,11 @@ def _publish_pass_telemetry(results: Sequence[SimulationResult],
          duration_seconds=round(timings.total, 6),
          lru_fast_path_cells=n_ladder, fifo_fast_path_cells=n_fifo)
     _logger.debug(
-        "shared pass: %d cells (%d via LRU ladder) over %d requests "
-        "in %.3fs", n_cells, n_ladder, total_requests, timings.total,
+        "shared pass: %d cells (%d via LRU ladder, %d via FIFO queue) "
+        "over %d requests in %.3fs", n_cells, n_ladder, n_fifo,
+        total_requests, timings.total,
         extra={"cells": n_cells, "lru_fast_path_cells": n_ladder,
+               "fifo_fast_path_cells": n_fifo,
                "requests": total_requests,
                "phase_seconds": {k: round(v, 6)
                                  for k, v in timings.as_dict().items()}})

@@ -24,13 +24,13 @@ Size interpretations:
   its one disagreement with [8] to this difference, which makes
   TRUSTED/PAPER_RULE vs ANY_CHANGE a designed-in ablation.
 
-Since the shared-pass refactor this module is a thin one-cell wrapper:
-the trace walk and size resolution live in
-:mod:`repro.simulation.engine` (:class:`~repro.simulation.engine.
-ReferenceStream`), and the cache/policy/metrics state lives in a single
-:class:`~repro.simulation.engine.CacheCell`.  ``CacheSimulator`` keeps
-its public API — sweeps that want N cells per trace pass use
-:func:`repro.simulation.engine.run_cells` directly.
+``CacheSimulator`` is the per-request reference the shared-pass
+engine is checked against: it runs one
+:class:`~repro.simulation.engine.CacheCell` over the trace through
+the tuple driver :func:`~repro.simulation.engine.drive_pass`, with
+its own size resolver, and never through the column driver.  Sweeps
+that want N cells per trace pass use
+:func:`repro.simulation.engine.run_cells`.
 """
 
 from __future__ import annotations
@@ -128,10 +128,11 @@ class CacheSimulator:
                    capacity_bytes=self.config.capacity_bytes,
                    trace=name, requests=total):
             with _span("warmup"), phase_timer("warmup", timings):
-                drive_pass(requests[:warmup], 0, groups, None)
+                drive_pass(requests[:warmup], groups, None)
             with _span("measurement"), \
                     phase_timer("measurement", timings):
-                drive_pass(requests[warmup:], warmup, groups, boundaries)
+                drive_pass(requests[warmup:], groups, boundaries,
+                           warmup)
             with _span("aggregate"), phase_timer("aggregate", timings):
                 result = cell.finalize(
                     name, total,

@@ -1,12 +1,13 @@
-"""Array-backed shared pass over columnar traces.
+"""The column driver of the shared pass.
 
-:func:`run_cells_columnar` is the columnar twin of
-:func:`repro.simulation.engine.run_cells`: it drives any number of
-:class:`~repro.simulation.engine.CacheCell`\\ s over one
-:class:`~repro.trace.columnar.ColumnarTrace` and returns results
-**bit-identical** to the object path.  The speed comes from moving
-every per-request computation that does not touch cache state into
-column operations:
+:func:`drive_columns` runs the cells of one
+:func:`repro.simulation.engine.run_cells` pass over a
+:class:`~repro.trace.columnar.ColumnarTrace` — an mmap'd ``.rcol``
+file, or the in-memory view ``run_cells`` builds for a ``Trace`` or a
+request list — with results **bit-identical** to
+:class:`~repro.simulation.simulator.CacheSimulator`.  The speed comes
+from moving every per-request computation that does not touch cache
+state into column operations:
 
 * **resolution** — size-interpretation reconstruction
   (:class:`ColumnarReferenceStream`) runs as array ops: ``TRUSTED`` is
@@ -15,9 +16,10 @@ column operations:
   documents whose logged sizes actually vary;
 * **requested-side tallies** — the per-warmup-boundary totals deferred
   cells merge at finalize are masked integer column sums;
-* **the LRU ladder** — byte-weighted stack distances feed vectorized
-  per-capacity hit counting, per-type tallies, and final-resident
-  counting, replacing the per-request × per-cell inner loop;
+* **the LRU ladder** — one byte-weighted stack-distance pass
+  (:func:`repro.analysis.stack_distance.keyed_stack_distances`) feeds
+  vectorized per-capacity hit counting, per-type tallies, and
+  final-resident counting for every eligible LRU cell at once;
 * **FIFO** — a shadow recency-free queue replays
   :meth:`~repro.core.cache.Cache.reference` exactly, without entry or
   heap machinery;
@@ -26,7 +28,20 @@ column operations:
   and consumed through the policies' ``_hint_cost`` slot.
 
 Cells that fit no fast path consume ordinary resolved-tuple chunks via
-:meth:`CacheCell.process_chunk`, decoded once per chunk from the mmap.
+:meth:`CacheCell.process_chunk`, decoded once per chunk from the
+columns.
+
+The LRU ladder is exact.  A byte-bounded LRU cache is a stack
+algorithm whenever no reference bypasses the cache and no resident
+copy is invalidated: a reference then hits a capacity-``C`` cache
+**iff** its byte-weighted stack distance plus the document size is
+≤ ``C``.  (Eviction of ``d`` requires residents above ``d`` plus the
+incoming document to exceed ``C − size(d)``, and all of those are
+intervening distinct documents; conversely at a hit every intervening
+document is resident above ``d``.)  The preconditions — ``TRUSTED``
+sizes, per-document sizes stable across the trace, every document no
+larger than the capacity, and plain LRU with no extra accounting — are
+checked per cell; cells that fail any of them are simulated instead.
 
 Bit-identity caveat: array float ops round ``int64 → float64`` before
 dividing where the scalar path divides exact integers, so identity is
@@ -37,10 +52,11 @@ real trace.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis.stack_distance import keyed_stack_distances
 from repro.core.cache import Cache
 from repro.core.cost import ByteCost, ConstantCost, LatencyCost, PacketCost
 from repro.core.fifo import FIFOPolicy
@@ -48,26 +64,15 @@ from repro.core.gds import GDSPolicy
 from repro.core.gdsf import GDSFPolicy
 from repro.core.gdstar import GDStarPolicy
 from repro.core.lru import LRUPolicy
-from repro.errors import SimulationError
-from repro.observability.events import emit
-from repro.observability.logs import get_logger
-from repro.observability.metrics import get_registry
 from repro.observability.profiling import PhaseTimings, phase_timer
 from repro.observability.trace import span as _span
 from repro.simulation.engine import (
     DEFAULT_CHUNK_SIZE,
     CacheCell,
-    ReferenceStream,
-    SimulationConfig,
     SizeInterpretation,
-    _new_requested_totals,
-    _publish_pass_telemetry,
+    resolver_key,
 )
-from repro.simulation.results import SimulationResult
-from repro.structures.fenwick import FenwickTree
 from repro.types import DOCUMENT_TYPES, DocumentType
-
-_logger = get_logger("simulation.vectorized")
 
 #: int64 sums whose worst-case magnitude reaches this bound fall back
 #: to exact python-int accumulation.
@@ -139,10 +144,9 @@ def _resolve_paper(trace, tolerance: float) -> np.ndarray:
 class ColumnarReferenceStream:
     """Resolves size-interpretation columns once per pass.
 
-    The columnar sibling of
-    :class:`~repro.simulation.engine.ReferenceStream`: resolution state
-    is keyed by ``(interpretation, tolerance)`` and memoized, so every
-    cell sharing those knobs reads the same resolved column.
+    Resolved columns are memoized by
+    :func:`~repro.simulation.engine.resolver_key`, so every cell
+    sharing those knobs reads the same resolved column.
     """
 
     def __init__(self, trace):
@@ -185,7 +189,8 @@ def _tally_boundaries(trace, stream: ColumnarReferenceStream,
     """Measured requests/bytes per type for each warmup boundary.
 
     Integer masked column sums: order-independent, so exactly the
-    totals the object path accumulates chunk by chunk.
+    totals :func:`repro.simulation.engine.drive_pass` accumulates chunk
+    by chunk.
     """
     codes = trace.type_codes
     transfers = stream.transfers_clamped
@@ -202,43 +207,15 @@ def _tally_boundaries(trace, stream: ColumnarReferenceStream,
 # ----- the exact all-capacities LRU ladder ----------------------------------
 
 
-def _byte_stack_distances(doc_ids: np.ndarray,
-                          sizes: np.ndarray) -> np.ndarray:
-    """Byte-weighted LRU stack distances over id columns.
+def _ladder_split(trace, cells: Sequence[CacheCell],
+                  ) -> Tuple[List[CacheCell], List[CacheCell]]:
+    """Partition cells into (ladder, rest) for the LRU ladder.
 
-    The Fenwick loop of
-    :func:`repro.analysis.stack_distance.stack_distances` verbatim —
-    python-int arithmetic, ``inf`` for cold misses — keyed by document
-    id instead of URL (the same partition).
-    """
-    n = len(doc_ids)
-    out = np.empty(n, dtype=np.float64)
-    if n == 0:
-        return out
-    tree = FenwickTree(n)
-    last: Dict[int, int] = {}
-    doc_list = doc_ids.tolist()
-    size_list = sizes.tolist()
-    for position in range(n):
-        doc = doc_list[position]
-        previous = last.get(doc)
-        if previous is None:
-            out[position] = np.inf
-        else:
-            out[position] = float(
-                tree.range_sum(previous + 1, position - 1))
-            tree.add(previous, -tree.range_sum(previous, previous))
-        tree.add(position, size_list[position])
-        last[doc] = position
-    return out
-
-
-def _ladder_split_columnar(trace, cells: Sequence[CacheCell],
-                           ) -> Tuple[List[CacheCell], List[CacheCell]]:
-    """Columnar twin of :func:`repro.simulation.engine._lru_ladder_split`.
-
-    Same config-side preconditions; the trace-side per-document size
-    stability scan runs as a grouped column comparison.
+    Config-side preconditions: plain LRU, TRUSTED sizes, deferred mode
+    (no cost/latency/occupancy/TTL accounting).  Trace-side: every
+    document keeps one size across the trace (a grouped column
+    comparison) and no document exceeds the cell's capacity, so nothing
+    bypasses and nothing is invalidated.
     """
     candidates = [
         cell for cell in cells
@@ -270,15 +247,15 @@ def _ladder_split_columnar(trace, cells: Sequence[CacheCell],
     return ladder, ordinary
 
 
-def _run_lru_ladder_columnar(trace, stream: ColumnarReferenceStream,
-                             cells: Sequence[CacheCell]) -> None:
-    """Serve eligible LRU cells from one vectorized stack-distance pass.
+def _run_ladder(trace, stream: ColumnarReferenceStream,
+                cells: Sequence[CacheCell]) -> None:
+    """Serve eligible LRU cells from one stack-distance pass.
 
-    The stack-distance Fenwick loop stays scalar (python-int exact);
-    everything downstream — per-capacity hit tests, warmup masking,
-    per-type hit/byte tallies, final-resident counting — runs as
-    column ops.  All tallies are integers, so the results match
-    :func:`repro.simulation.engine._run_lru_ladder` exactly.
+    The Fenwick loop stays scalar (python-int exact); everything
+    downstream — per-capacity hit tests, warmup masking, per-type
+    hit/byte tallies, final-resident counting — runs as column ops on
+    integers.  Evictions: every miss admits (nothing bypasses), so
+    evictions = misses − residents at the end of the trace.
     """
     n = len(trace)
     if n == 0:
@@ -288,7 +265,9 @@ def _run_lru_ladder_columnar(trace, stream: ColumnarReferenceStream,
     sizes = trace.sizes
     codes = trace.type_codes
     transfers = stream.transfers_clamped
-    distances = _byte_stack_distances(trace.doc_ids, sizes)
+    distances = np.array(keyed_stack_distances(trace.doc_ids.tolist(),
+                                               sizes.tolist()),
+                         dtype=np.float64)
     needed = distances + sizes
     type_masks = [codes == code for code in range(len(DOCUMENT_TYPES))]
     measured_by_warmup: Dict[int, np.ndarray] = {}
@@ -437,8 +416,7 @@ def _hinted_model(cell: CacheCell):
 
 def _drive_chunks(trace, stream: ColumnarReferenceStream,
                   plain: Dict[tuple, List[CacheCell]],
-                  hinted: Dict[tuple, List[tuple]],
-                  chunk_size: int) -> None:
+                  hinted: Dict[tuple, List[tuple]]) -> None:
     """Decode resolved-tuple chunks once and feed every consumer."""
     n = len(trace)
     keys = set(plain) | set(hinted)
@@ -452,8 +430,8 @@ def _drive_chunks(trace, stream: ColumnarReferenceStream,
     raw_sizes = trace.sizes
     timestamps = trace.timestamps
     resolved = {key: stream.resolved_sizes(key) for key in keys}
-    for start in range(0, n, chunk_size):
-        end = min(start + chunk_size, n)
+    for start in range(0, n, DEFAULT_CHUNK_SIZE):
+        end = min(start + DEFAULT_CHUNK_SIZE, n)
         doc_list = doc[start:end].tolist()
         code_list = codes[start:end].tolist()
         transfer_list = transfers[start:end].tolist()
@@ -482,105 +460,56 @@ def _drive_chunks(trace, stream: ColumnarReferenceStream,
                     cell.process_chunk_hinted(chunk, start, costs)
 
 
-# ----- the columnar pass ----------------------------------------------------
+# ----- the column driver ----------------------------------------------------
 
 
-def run_cells_columnar(trace,
-                       configs: Sequence[Union[SimulationConfig,
-                                               CacheCell]],
-                       trace_name: Optional[str] = None,
-                       chunk_size: int = DEFAULT_CHUNK_SIZE,
-                       lru_fast_path: bool = True,
-                       timings: Optional[PhaseTimings] = None,
-                       total_requests: Optional[int] = None,
-                       ) -> List[SimulationResult]:
-    """Run every cell over a columnar trace in one array-backed pass.
+def drive_columns(trace, cells: Sequence[CacheCell],
+                  boundaries: Dict[int, Dict[DocumentType, list]],
+                  timings: PhaseTimings,
+                  lru_fast_path: bool) -> Tuple[int, int]:
+    """Run armed cells over a columnar trace.
 
-    The columnar counterpart of
-    :func:`repro.simulation.engine.run_cells` (which dispatches here
-    when handed a :class:`~repro.trace.columnar.ColumnarTrace`):
-    identical arguments, identical telemetry, bit-identical results.
+    ``boundaries`` maps each deferred cell's warm-up boundary to the
+    requested-side totals this driver fills.  Returns how many cells
+    the LRU ladder and the FIFO queue served.
     """
-    n = len(trace)
-    if total_requests is not None and total_requests != n:
-        raise SimulationError(
-            f"columnar trace holds {n} requests but "
-            f"total_requests={total_requests} was declared")
-    name = trace_name or trace.name
-    cells: List[CacheCell] = []
-    for config in configs:
-        cell = config if isinstance(config, CacheCell) else CacheCell(config)
-        cells.append(cell)
-    for cell in cells:
-        warmup = int(n * cell.config.warmup_fraction)
-        cell.begin_run(warmup, deferred=True)
-    if timings is None:
-        timings = PhaseTimings()
-    emit("pass_started", cells=len(cells), requests=n)
-    pass_span = _span("pass", cells=len(cells), requests=n, trace=name,
-                      streaming=False, columnar=True)
-    with pass_span:
-        stream = ColumnarReferenceStream(trace)
-        if lru_fast_path:
-            ladder, rest = _ladder_split_columnar(trace, cells)
+    stream = ColumnarReferenceStream(trace)
+    if lru_fast_path:
+        ladder, rest = _ladder_split(trace, cells)
+    else:
+        ladder, rest = [], list(cells)
+    fifo: List[CacheCell] = []
+    plain: Dict[tuple, List[CacheCell]] = {}
+    hinted: Dict[tuple, List[tuple]] = {}
+    for cell in rest:
+        if _fifo_eligible(cell):
+            fifo.append(cell)
+            continue
+        key = resolver_key(cell.config)
+        model = _hinted_model(cell)
+        if model is not None:
+            hinted.setdefault(key, []).append(
+                (cell, model, _cost_model_key(model)))
         else:
-            ladder, rest = [], list(cells)
-        pass_span.set_attribute("lru_fast_path_cells", len(ladder))
-        fifo = [cell for cell in rest if _fifo_eligible(cell)]
-        fifo_ids = set(map(id, fifo))
-        pass_span.set_attribute("fifo_fast_path_cells", len(fifo))
-        plain: Dict[tuple, List[CacheCell]] = {}
-        hinted: Dict[tuple, List[tuple]] = {}
-        for cell in rest:
-            if id(cell) in fifo_ids:
-                continue
-            key = ReferenceStream.resolver_key(cell.config)
-            model = _hinted_model(cell)
-            if model is not None:
-                hinted.setdefault(key, []).append(
-                    (cell, model, _cost_model_key(model)))
-            else:
-                plain.setdefault(key, []).append(cell)
-        boundaries: Dict[int, Dict[DocumentType, list]] = {}
+            plain.setdefault(key, []).append(cell)
+    with _span("resolve"), phase_timer("resolve", timings):
         for cell in cells:
-            if cell.deferred and cell._warmup not in boundaries:
-                boundaries[cell._warmup] = _new_requested_totals()
-        with _span("resolve"), phase_timer("resolve", timings):
-            for cell in cells:
-                stream.resolved_sizes(
-                    ReferenceStream.resolver_key(cell.config))
-            if boundaries:
-                _tally_boundaries(trace, stream, boundaries)
-        with _span("drive"), phase_timer("pass", timings):
-            _drive_chunks(trace, stream, plain, hinted, chunk_size)
-            if fifo:
-                doc_list = trace.doc_ids.tolist()
-                code_list = trace.type_codes.tolist()
-                transfer_list = stream.transfers_clamped.tolist()
-                for cell in fifo:
-                    key = ReferenceStream.resolver_key(cell.config)
-                    size_list = stream.resolved_sizes(key).tolist()
-                    _run_fifo_cell(cell, doc_list, size_list,
-                                   code_list, transfer_list)
-        if ladder:
-            with _span("lru_ladder", cells=len(ladder)), \
-                    phase_timer("lru_ladder", timings):
-                _run_lru_ladder_columnar(trace, stream, ladder)
-        with _span("aggregate"), phase_timer("aggregate", timings):
-            results = [cell.finalize(name, n,
-                                     boundaries.get(cell._warmup))
-                       for cell in cells]
-    _publish_pass_telemetry(results, timings, len(cells), len(ladder), n,
-                            n_fifo=len(fifo))
-    registry = get_registry()
-    if registry.enabled:
-        registry.counter("engine_columnar_passes_total").inc()
+            stream.resolved_sizes(resolver_key(cell.config))
+        if boundaries:
+            _tally_boundaries(trace, stream, boundaries)
+    with _span("drive"), phase_timer("pass", timings):
+        _drive_chunks(trace, stream, plain, hinted)
         if fifo:
-            registry.counter(
-                "engine_fifo_fast_path_cells_total").inc(len(fifo))
-    _logger.debug(
-        "columnar pass: %d cells (%d ladder, %d fifo) over %d requests",
-        len(cells), len(ladder), len(fifo), n,
-        extra={"cells": len(cells), "lru_fast_path_cells": len(ladder),
-               "fifo_fast_path_cells": len(fifo), "requests": n})
-    return results
+            doc_list = trace.doc_ids.tolist()
+            code_list = trace.type_codes.tolist()
+            transfer_list = stream.transfers_clamped.tolist()
+            for cell in fifo:
+                key = resolver_key(cell.config)
+                size_list = stream.resolved_sizes(key).tolist()
+                _run_fifo_cell(cell, doc_list, size_list,
+                               code_list, transfer_list)
+    if ladder:
+        with _span("lru_ladder", cells=len(ladder)), \
+                phase_timer("lru_ladder", timings):
+            _run_ladder(trace, stream, ladder)
+    return len(ladder), len(fifo)

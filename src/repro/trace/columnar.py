@@ -224,7 +224,162 @@ def read_header(path: PathLike) -> ColumnarHeader:
     return header
 
 
-class ColumnarWriter:
+class _RecordEncoder:
+    """Packs requests into columnar records.
+
+    Interns urls and content types, tracks each document's modification
+    epoch, keeps the header's counts and per-type histograms, and hands
+    each full block of records to :meth:`_emit`.  The file writer and
+    the in-memory view (:meth:`ColumnarTrace.from_requests`) share it,
+    so both hold exactly the same columns for the same requests.
+    """
+
+    def _init_state(self) -> None:
+        self._url_ids: dict = {}
+        self._urls: List[str] = []
+        self._ct_ids: dict = {}
+        self._ctypes: List[str] = []
+        self._last_size: List[int] = []      # per doc id
+        self._epochs: List[int] = []         # per doc id
+        self._count = 0
+        self._requested_bytes = 0
+        self._total_size_bytes = 0
+        self._type_requests = [0] * len(DOCUMENT_TYPES)
+        self._type_bytes = [0] * len(DOCUMENT_TYPES)
+        self._buf_ts: List[float] = []
+        self._buf_size: List[int] = []
+        self._buf_transfer: List[int] = []
+        self._buf_doc: List[int] = []
+        self._buf_ctype: List[int] = []
+        self._buf_epoch: List[int] = []
+        self._buf_status: List[int] = []
+        self._buf_type: List[int] = []
+
+    def append(self, request: Request) -> None:
+        """Append one request; interning and histograms are updated."""
+        size = request.size
+        transfer = request.transfer_size
+        if size > _MAX_I8 or transfer > _MAX_I8:
+            raise ColumnarFormatError(
+                f"size {max(size, transfer)} exceeds the columnar "
+                f"format's 63-bit size field")
+        doc_id = self._url_ids.get(request.url)
+        if doc_id is None:
+            doc_id = len(self._urls)
+            if doc_id > _MAX_U4:
+                raise ColumnarFormatError(
+                    "more than 2**32 distinct documents")
+            self._url_ids[request.url] = doc_id
+            self._urls.append(request.url)
+            self._last_size.append(size)
+            self._epochs.append(0)
+            self._total_size_bytes += size
+            epoch = 0
+        else:
+            previous = self._last_size[doc_id]
+            if previous != size:
+                # Count the document once at its most recent size,
+                # matching Trace.metadata(), and open a new
+                # modification epoch.
+                self._total_size_bytes += size - previous
+                self._last_size[doc_id] = size
+                self._epochs[doc_id] += 1
+            epoch = self._epochs[doc_id]
+        content_type = request.content_type
+        if content_type is None:
+            ct_id = 0
+        else:
+            interned = self._ct_ids.get(content_type)
+            if interned is None:
+                interned = len(self._ctypes)
+                self._ct_ids[content_type] = interned
+                self._ctypes.append(content_type)
+            ct_id = interned + 1
+        code = _TYPE_CODE[request.doc_type]
+        self._count += 1
+        self._requested_bytes += transfer
+        self._type_requests[code] += 1
+        self._type_bytes[code] += transfer
+        self._buf_ts.append(request.timestamp)
+        self._buf_size.append(size)
+        self._buf_transfer.append(transfer)
+        self._buf_doc.append(doc_id)
+        self._buf_ctype.append(ct_id)
+        self._buf_epoch.append(epoch)
+        self._buf_status.append(request.status)
+        self._buf_type.append(code)
+        if len(self._buf_ts) >= _FLUSH_ROWS:
+            self._flush()
+
+    def write_all(self, requests: Iterable[Request]) -> int:
+        """Append every request; returns how many were written."""
+        before = self._count
+        for request in requests:
+            self.append(request)
+        return self._count - before
+
+    def _flush(self) -> None:
+        if not self._buf_ts:
+            return
+        block = np.empty(len(self._buf_ts), dtype=RECORD_DTYPE)
+        block["timestamp"] = self._buf_ts
+        block["size"] = self._buf_size
+        block["transfer"] = self._buf_transfer
+        block["doc"] = self._buf_doc
+        block["ctype"] = self._buf_ctype
+        block["epoch"] = self._buf_epoch
+        block["status"] = self._buf_status
+        block["type"] = self._buf_type
+        self._emit(block)
+        for buf in (self._buf_ts, self._buf_size, self._buf_transfer,
+                    self._buf_doc, self._buf_ctype, self._buf_epoch,
+                    self._buf_status, self._buf_type):
+            buf.clear()
+
+    def _emit(self, block: np.ndarray) -> None:
+        raise NotImplementedError
+
+    def _header(self, name: str, strings_offset: int = 0,
+                data_end: int = 0, data_crc: int = 0) -> ColumnarHeader:
+        """The header for everything appended so far."""
+        return ColumnarHeader(
+            version=FORMAT_VERSION, min_reader=MIN_READER,
+            n_records=self._count, n_urls=len(self._urls),
+            n_ctypes=len(self._ctypes),
+            requested_bytes=self._requested_bytes,
+            total_size_bytes=self._total_size_bytes,
+            records_offset=HEADER_RESERVE,
+            strings_offset=strings_offset,
+            data_end=data_end,
+            data_crc=data_crc,
+            extra={
+                "name": name,
+                "record_itemsize": RECORD_DTYPE.itemsize,
+                "fields": list(RECORD_DTYPE.names),
+                "type_order": [t.value for t in DOCUMENT_TYPES],
+                "type_requests": self._type_requests,
+                "type_bytes": self._type_bytes,
+            })
+
+
+class _BlockCollector(_RecordEncoder):
+    """Keeps the encoded record blocks in memory."""
+
+    def __init__(self):
+        self._init_state()
+        self.blocks: List[np.ndarray] = []
+
+    def _emit(self, block: np.ndarray) -> None:
+        self.blocks.append(block)
+
+    def records(self) -> np.ndarray:
+        self._flush()
+        if not self.blocks:
+            return np.empty(0, dtype=RECORD_DTYPE)
+        return np.concatenate(self.blocks)
+
+
+class ColumnarWriter(_RecordEncoder):
     """Streaming columnar trace writer with append support.
 
     Records are buffered and flushed in blocks; counts, histograms, the
@@ -243,27 +398,9 @@ class ColumnarWriter:
         self._init_state()
 
     def _init_state(self) -> None:
-        self._url_ids: dict = {}
-        self._urls: List[bytes] = []
-        self._ct_ids: dict = {}
-        self._ctypes: List[bytes] = []
-        self._last_size: List[int] = []      # per doc id
-        self._epochs: List[int] = []         # per doc id
-        self._count = 0
-        self._requested_bytes = 0
-        self._total_size_bytes = 0
-        self._type_requests = [0] * len(DOCUMENT_TYPES)
-        self._type_bytes = [0] * len(DOCUMENT_TYPES)
+        super()._init_state()
         self._records_crc = 0
         self._closed = False
-        self._buf_ts: List[float] = []
-        self._buf_size: List[int] = []
-        self._buf_transfer: List[int] = []
-        self._buf_doc: List[int] = []
-        self._buf_ctype: List[int] = []
-        self._buf_epoch: List[int] = []
-        self._buf_status: List[int] = []
-        self._buf_type: List[int] = []
 
     @classmethod
     def open_append(cls, path: PathLike) -> "ColumnarWriter":
@@ -281,13 +418,11 @@ class ColumnarWriter:
             writer.path = path
             writer.name = trace.name
             writer._init_state()
-            writer._urls = [u.encode("utf-8") for u in trace.urls()]
-            writer._url_ids = {u: i for i, u
-                              in enumerate(trace.urls())}
-            writer._ctypes = [c.encode("utf-8")
-                              for c in trace.content_types()]
+            writer._urls = list(trace.urls())
+            writer._url_ids = {u: i for i, u in enumerate(writer._urls)}
+            writer._ctypes = list(trace.content_types())
             writer._ct_ids = {c: i for i, c
-                              in enumerate(trace.content_types())}
+                              in enumerate(writer._ctypes)}
             writer._count = header.n_records
             writer._requested_bytes = header.requested_bytes
             writer._total_size_bytes = header.total_size_bytes
@@ -339,91 +474,14 @@ class ColumnarWriter:
         else:
             self._stream.close()
 
-    def append(self, request: Request) -> None:
-        """Append one request; interning and histograms are updated."""
-        size = request.size
-        transfer = request.transfer_size
-        if size > _MAX_I8 or transfer > _MAX_I8:
-            raise ColumnarFormatError(
-                f"size {max(size, transfer)} exceeds the columnar "
-                f"format's 63-bit size field")
-        doc_id = self._url_ids.get(request.url)
-        if doc_id is None:
-            doc_id = len(self._urls)
-            if doc_id > _MAX_U4:
-                raise ColumnarFormatError(
-                    "more than 2**32 distinct documents")
-            self._url_ids[request.url] = doc_id
-            self._urls.append(request.url.encode("utf-8"))
-            self._last_size.append(size)
-            self._epochs.append(0)
-            self._total_size_bytes += size
-            epoch = 0
-        else:
-            previous = self._last_size[doc_id]
-            if previous != size:
-                # Count the document once at its most recent size,
-                # matching Trace.metadata(), and open a new
-                # modification epoch.
-                self._total_size_bytes += size - previous
-                self._last_size[doc_id] = size
-                self._epochs[doc_id] += 1
-            epoch = self._epochs[doc_id]
-        content_type = request.content_type
-        if content_type is None:
-            ct_id = 0
-        else:
-            interned = self._ct_ids.get(content_type)
-            if interned is None:
-                interned = len(self._ctypes)
-                self._ct_ids[content_type] = interned
-                self._ctypes.append(content_type.encode("utf-8"))
-            ct_id = interned + 1
-        code = _TYPE_CODE[request.doc_type]
-        self._count += 1
-        self._requested_bytes += transfer
-        self._type_requests[code] += 1
-        self._type_bytes[code] += transfer
-        self._buf_ts.append(request.timestamp)
-        self._buf_size.append(size)
-        self._buf_transfer.append(transfer)
-        self._buf_doc.append(doc_id)
-        self._buf_ctype.append(ct_id)
-        self._buf_epoch.append(epoch)
-        self._buf_status.append(request.status)
-        self._buf_type.append(code)
-        if len(self._buf_ts) >= _FLUSH_ROWS:
-            self._flush()
-
-    def write_all(self, requests: Iterable[Request]) -> int:
-        """Append every request; returns how many were written."""
-        before = self._count
-        for request in requests:
-            self.append(request)
-        return self._count - before
-
-    def _flush(self) -> None:
-        if not self._buf_ts:
-            return
-        block = np.empty(len(self._buf_ts), dtype=RECORD_DTYPE)
-        block["timestamp"] = self._buf_ts
-        block["size"] = self._buf_size
-        block["transfer"] = self._buf_transfer
-        block["doc"] = self._buf_doc
-        block["ctype"] = self._buf_ctype
-        block["epoch"] = self._buf_epoch
-        block["status"] = self._buf_status
-        block["type"] = self._buf_type
+    def _emit(self, block: np.ndarray) -> None:
         raw = block.tobytes()
         self._records_crc = zlib.crc32(raw, self._records_crc)
         self._stream.write(raw)
-        for buf in (self._buf_ts, self._buf_size, self._buf_transfer,
-                    self._buf_doc, self._buf_ctype, self._buf_epoch,
-                    self._buf_status, self._buf_type):
-            buf.clear()
 
     @staticmethod
-    def _string_table(blobs: List[bytes]) -> bytes:
+    def _string_table(strings: List[str]) -> bytes:
+        blobs = [string.encode("utf-8") for string in strings]
         offsets = np.zeros(len(blobs) + 1, dtype="<u8")
         total = 0
         for index, blob in enumerate(blobs):
@@ -443,24 +501,8 @@ class ColumnarWriter:
         data_crc = zlib.crc32(tables, self._records_crc)
         self._stream.seek(strings_offset)
         self._stream.write(tables)
-        header = ColumnarHeader(
-            version=FORMAT_VERSION, min_reader=MIN_READER,
-            n_records=self._count, n_urls=len(self._urls),
-            n_ctypes=len(self._ctypes),
-            requested_bytes=self._requested_bytes,
-            total_size_bytes=self._total_size_bytes,
-            records_offset=HEADER_RESERVE,
-            strings_offset=strings_offset,
-            data_end=strings_offset + len(tables),
-            data_crc=data_crc,
-            extra={
-                "name": self.name,
-                "record_itemsize": RECORD_DTYPE.itemsize,
-                "fields": [name for name in RECORD_DTYPE.names],
-                "type_order": [t.value for t in DOCUMENT_TYPES],
-                "type_requests": self._type_requests,
-                "type_bytes": self._type_bytes,
-            })
+        header = self._header(self.name, strings_offset,
+                              strings_offset + len(tables), data_crc)
         self._stream.seek(0)
         self._stream.write(_pack_header(header))
         self._stream.truncate(header.data_end)
@@ -474,10 +516,12 @@ class ColumnarWriter:
 
 
 class ColumnarTrace:
-    """A read-only, mmap-backed columnar trace.
+    """A read-only columnar trace.
 
-    Columns are zero-copy numpy views over the file mapping; the url
-    and content-type string tables decode lazily on first use.  The
+    :func:`open_columnar` maps a file: columns are zero-copy numpy
+    views over the mapping, and the url and content-type string tables
+    decode lazily on first use.  :meth:`from_requests` builds the same
+    columns and tables in memory, with no file behind them.  The
     object is duck-compatible with :class:`~repro.types.Trace` where it
     matters: ``len``, iteration/indexing (yielding ``Request``),
     ``name``, and ``metadata()`` — metadata comes straight from the
@@ -485,6 +529,8 @@ class ColumnarTrace:
     """
 
     is_columnar = True
+    _mmap = None
+    _file = None
 
     def __init__(self, path: PathLike, verify: bool = True):
         import mmap
@@ -502,6 +548,28 @@ class ColumnarTrace:
         self._ctype_list: Optional[List[str]] = None
         if verify:
             self._verify_data_crc()
+
+    @classmethod
+    def from_requests(cls, requests: Iterable[Request],
+                      name: str = "trace") -> "ColumnarTrace":
+        """An in-memory column view of ``requests``.
+
+        The arrays and string tables are exactly those that
+        :func:`write_columnar` followed by :func:`open_columnar` would
+        expose, encoded by the writer's own encoder, and the header
+        holds the same counts and histograms.  Raises :class:`ColumnarFormatError` for what
+        the format cannot hold (a size above ``2**63 - 1``).
+        """
+        encoder = _BlockCollector()
+        encoder.write_all(requests)
+        view = cls.__new__(cls)
+        view.path = None
+        view.name = name
+        view.records = encoder.records()
+        view.header = encoder._header(name)
+        view._url_list = encoder._urls
+        view._ctype_list = encoder._ctypes
+        return view
 
     def _verify_data_crc(self) -> None:
         crc = 0
@@ -650,7 +718,8 @@ class ColumnarTrace:
     def close(self) -> None:
         """Release the mapping (best-effort while views are alive)."""
         self.records = None
-        self._url_list = self._url_list  # decoded strings stay valid
+        if self._mmap is None:
+            return
         try:
             self._mmap.close()
         except BufferError:  # pragma: no cover - views still exported

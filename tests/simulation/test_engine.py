@@ -230,12 +230,26 @@ class TestStreamingPass:
         for m, s in zip(materialized, streamed):
             assert_identical(s, m)
 
-    def test_wrong_declared_total_raises(self):
+    def test_wrong_declared_total_raises(self, tmp_path):
+        from repro.trace.columnar import open_columnar, write_columnar
         trace = mixed_trace(100)
-        with pytest.raises(SimulationError):
-            run_cells(iter(trace.requests),
-                      [SimulationConfig(capacity_bytes=5_000)],
-                      total_requests=len(trace) + 7)
+        path = tmp_path / "t.rcol"
+        write_columnar(path, trace.requests, name=trace.name)
+        with open_columnar(path) as columnar:
+            for source in (iter(trace.requests), trace.requests, trace,
+                           columnar):
+                with pytest.raises(SimulationError):
+                    run_cells(source,
+                              [SimulationConfig(capacity_bytes=5_000)],
+                              total_requests=len(trace) + 7)
+
+    def test_oversized_request_is_refused_by_the_encoder(self):
+        """In-memory traces share the columnar encoder, so a size the
+        63-bit size field cannot hold raises instead of simulating."""
+        from repro.trace.columnar import ColumnarFormatError
+        requests = [Request(0.0, "u0", 2 ** 63, 10, DocumentType.HTML)]
+        with pytest.raises(ColumnarFormatError):
+            run_cells(requests, [SimulationConfig(capacity_bytes=5_000)])
 
     def test_file_backed_sweep_both_engines(self, tmp_path):
         from repro.trace.pipeline import count_requests

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.trace.columnar import (
     HEADER_RESERVE,
     ColumnarFormatError,
+    ColumnarTrace,
     open_columnar,
     read_header,
     write_columnar,
@@ -58,6 +59,15 @@ def test_round_trip_is_exact(requests, tmp_path_factory):
     write_columnar(path, requests)
     with open_columnar(path) as trace:
         assert list(trace) == requests
+        # The in-memory view of the same requests holds the same
+        # columns and url table as the file reader.
+        view = ColumnarTrace.from_requests(requests)
+        assert len(view) == len(trace)
+        for column in ("doc_ids", "sizes", "transfers", "type_codes",
+                       "timestamps"):
+            assert (getattr(view, column).tolist()
+                    == getattr(trace, column).tolist()), column
+        assert view.urls() == trace.urls()
 
 
 @settings(max_examples=60, deadline=None)
