@@ -82,7 +82,9 @@ class SecondHitAdmission(ReplacementPolicy):
         return len(self.inner)
 
     def attach(self, cache) -> None:
-        self.cache = cache
+        # The base-class guard runs first: attaching to a second cache
+        # raises before the wrapper or its inner policy changes.
+        super().attach(cache)
         self.inner.attach(cache)
 
     def admits(self, size: int) -> bool:
@@ -110,6 +112,9 @@ class SecondHitAdmission(ReplacementPolicy):
 
     def on_hit(self, entry: CacheEntry) -> None:
         self.inner.on_hit(entry)
+
+    def peek_victim(self) -> CacheEntry:
+        return self.inner.peek_victim()
 
     def pop_victim(self) -> CacheEntry:
         victim = self.inner.pop_victim()

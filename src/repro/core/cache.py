@@ -57,6 +57,18 @@ class Cache:
         #: every departure.  None (the default) costs one comparison.
         self.on_evict = None
         policy.attach(self)
+        # The admission gate ``gate(url, size)``, resolved once: a
+        # URL-aware ``admits_url`` hook, else an overridden size filter
+        # ``admits``, else none.  The policy is fixed for the cache's
+        # lifetime, so the choice never goes stale.
+        gate = getattr(policy, "admits_url", None)
+        if gate is None and \
+                type(policy).admits is not ReplacementPolicy.admits:
+            admits = policy.admits
+
+            def gate(_url, size):
+                return admits(size)
+        self._gate = gate
 
     # ----- queries ------------------------------------------------------
 
@@ -101,6 +113,7 @@ class Cache:
             raise ValueError("size must be non-negative")
         self.clock += 1
         entry = self._entries.get(url)
+        outcome = AccessOutcome.MISS
         if entry is not None:
             if entry.size == size:
                 entry.frequency += 1
@@ -111,27 +124,15 @@ class Cache:
             # Modified document: stale copy out, new version in (unless
             # the new version no longer fits or is refused admission).
             self._drop(entry, count_as_invalidation=True)
-            self.misses += 1
-            if not self._admission_allowed(url, size):
-                self.bypasses += 1
-                return AccessOutcome.MISS_TOO_BIG
-            self._admit(url, size, doc_type)
-            return AccessOutcome.MISS_MODIFIED
-
+            outcome = AccessOutcome.MISS_MODIFIED
         self.misses += 1
-        if not self._admission_allowed(url, size):
+        gate = self._gate
+        if size > self.capacity_bytes or (
+                gate is not None and not gate(url, size)):
             self.bypasses += 1
             return AccessOutcome.MISS_TOO_BIG
         self._admit(url, size, doc_type)
-        return AccessOutcome.MISS
-
-    def _admission_allowed(self, url: str, size: int) -> bool:
-        if size > self.capacity_bytes:
-            return False
-        url_check = getattr(self.policy, "admits_url", None)
-        if url_check is not None:
-            return url_check(url, size)
-        return self.policy.admits(size)
+        return outcome
 
     def invalidate(self, url: str) -> bool:
         """Remove a document without counting a reference; True if present."""

@@ -33,19 +33,6 @@ class CostModel(ABC):
     def cost(self, size: int) -> float:
         """Retrieval cost of a document of ``size`` bytes."""
 
-    def cost_array(self, sizes):
-        """Vectorized ``cost`` over a numpy integer size array.
-
-        Must be element-wise bit-identical to :meth:`cost` — the
-        columnar engine precomputes per-chunk Greedy-Dual key costs
-        with it.  The fallback loops; the built-in models override
-        with true array expressions.
-        """
-        import numpy as np
-
-        return np.array([self.cost(int(size)) for size in sizes],
-                        dtype=np.float64)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__}>"
 
@@ -63,11 +50,6 @@ class ConstantCost(CostModel):
 
     def cost(self, size: int) -> float:
         return self.value
-
-    def cost_array(self, sizes):
-        import numpy as np
-
-        return np.full(len(sizes), self.value, dtype=np.float64)
 
 
 class PacketCost(CostModel):
@@ -92,14 +74,6 @@ class PacketCost(CostModel):
             payload = math.ceil(payload)
         return 2.0 + payload
 
-    def cost_array(self, sizes):
-        import numpy as np
-
-        payload = sizes / self.mss
-        if self.ceil_packets:
-            payload = np.ceil(payload)
-        return 2.0 + payload
-
 
 class ByteCost(CostModel):
     """c(p) = s(p): saved cost equals saved bytes exactly.
@@ -114,11 +88,6 @@ class ByteCost(CostModel):
 
     def cost(self, size: int) -> float:
         return float(size)
-
-    def cost_array(self, sizes):
-        import numpy as np
-
-        return sizes.astype(np.float64)
 
 
 class LatencyCost(CostModel):
@@ -144,9 +113,6 @@ class LatencyCost(CostModel):
 
     def cost(self, size: int) -> float:
         return self.rtt_seconds + size / self.bandwidth
-
-    def cost_array(self, sizes):
-        return self.rtt_seconds + sizes / self.bandwidth
 
 
 def make_cost_model(name: str) -> CostModel:

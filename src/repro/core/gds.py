@@ -24,12 +24,6 @@ from repro.structures.addressable_heap import AddressableHeap
 class GDSPolicy(ReplacementPolicy):
     """Greedy-Dual-Size with inflation-based aging."""
 
-    #: Per-reference cost precomputed by the columnar engine.  When
-    #: set, :meth:`_value` consumes it instead of calling the cost
-    #: model.  Sound because ``_value`` only runs from on_admit/on_hit,
-    #: whose entry size always equals the current reference's size.
-    _hint_cost = None
-
     def __init__(self, cost_model: CostModel = None):
         self.cost_model = cost_model or ConstantCost()
         self.name = f"gds({self.cost_model.tag.lower()})"
@@ -39,21 +33,18 @@ class GDSPolicy(ReplacementPolicy):
     def __len__(self) -> int:
         return len(self._heap)
 
-    def _value(self, entry: CacheEntry) -> float:
-        # Clamp zero-size documents consistently: the same floored
-        # size feeds both the cost model and the denominator.
-        size = max(entry.size, 1)
-        cost = self._hint_cost
-        if cost is None:
-            cost = self.cost_model.cost(size)
-        return self.inflation + cost / size
-
     def on_admit(self, entry: CacheEntry) -> None:
-        self._heap.push(entry, self._value(entry))
+        # Clamp zero-size documents consistently: the same floored
+        # size feeds both the cost model and the denominator.  A
+        # resident entry's size never changes (a modification admits a
+        # new entry), so c/s is computed once and kept on the entry.
+        size = max(entry.size, 1)
+        entry.policy_data = ratio = self.cost_model.cost(size) / size
+        self._heap.push(entry, self.inflation + ratio)
 
     def on_hit(self, entry: CacheEntry) -> None:
         # A hit restores the document's full (inflated) value.
-        self._heap.update_key(entry, self._value(entry))
+        self._heap.update_key(entry, self.inflation + entry.policy_data)
 
     def peek_victim(self) -> CacheEntry:
         return self._heap.peek()[0]

@@ -17,13 +17,6 @@ from repro.structures.addressable_heap import AddressableHeap
 class GDSFPolicy(ReplacementPolicy):
     """Greedy-Dual-Size-Frequency with inflation-based aging."""
 
-    #: Per-reference cost precomputed by the columnar engine.  When
-    #: set, :meth:`_value` consumes it instead of calling the cost
-    #: model (see :class:`~repro.core.gds.GDSPolicy`).  Only the cost
-    #: term is hinted: ``f · c / s`` keeps its left-to-right float
-    #: evaluation order, so the key is bit-identical.
-    _hint_cost = None
-
     def __init__(self, cost_model: CostModel = None):
         self.cost_model = cost_model or ConstantCost()
         self.name = f"gdsf({self.cost_model.tag.lower()})"
@@ -34,14 +27,13 @@ class GDSFPolicy(ReplacementPolicy):
         return len(self._heap)
 
     def _value(self, entry: CacheEntry) -> float:
-        size = max(entry.size, 1)
-        cost = self._hint_cost
-        if cost is None:
-            cost = self.cost_model.cost(size)
-        utility = entry.frequency * cost / size
+        # ``f · c / s`` in left-to-right float order; c is the cost
+        # on_admit stored (see :class:`~repro.core.gds.GDSPolicy`).
+        utility = entry.frequency * entry.policy_data / max(entry.size, 1)
         return self.inflation + utility
 
     def on_admit(self, entry: CacheEntry) -> None:
+        entry.policy_data = self.cost_model.cost(max(entry.size, 1))
         self._heap.push(entry, self._value(entry))
 
     def on_hit(self, entry: CacheEntry) -> None:

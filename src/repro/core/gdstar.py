@@ -41,13 +41,13 @@ _MAX_UTILITY = 1e12
 
 
 class GDStarPolicy(ReplacementPolicy):
-    """Greedy-Dual* with online (or fixed) β."""
+    """Greedy-Dual* with online (or fixed) β.
 
-    #: Per-reference cost precomputed by the columnar engine.  When
-    #: set, :meth:`_value` consumes it instead of calling the cost
-    #: model (see :class:`~repro.core.gds.GDSPolicy`).  Only the cost
-    #: term is hinted so ``f · c / s`` keeps its evaluation order.
-    _hint_cost = None
+    Each resident entry's ``policy_data`` is ``[last_clock, c]``: the
+    policy clock at its last reference (for reuse gaps) and its
+    retrieval cost, computed once at admission — a resident entry's
+    size never changes, since a modification admits a new entry.
+    """
 
     def __init__(self, cost_model: CostModel = None,
                  beta_estimator: Optional[Estimator] = None):
@@ -66,11 +66,9 @@ class GDStarPolicy(ReplacementPolicy):
         return self.estimator.beta
 
     def _value(self, entry: CacheEntry) -> float:
-        size = max(entry.size, 1)
-        cost = self._hint_cost
-        if cost is None:
-            cost = self.cost_model.cost(size)
-        utility = entry.frequency * cost / size
+        # ``f · c / s`` in left-to-right float order.
+        utility = (entry.frequency * entry.policy_data[1]
+                   / max(entry.size, 1))
         if utility > _MAX_UTILITY:
             utility = _MAX_UTILITY
         exponent = 1.0 / self.estimator.beta
@@ -83,15 +81,15 @@ class GDStarPolicy(ReplacementPolicy):
 
     def on_admit(self, entry: CacheEntry) -> None:
         self._clock += 1
-        entry.policy_data = self._clock  # last-reference time for reuse gaps
+        entry.policy_data = [self._clock,
+                             self.cost_model.cost(max(entry.size, 1))]
         self._heap.push(entry, self._value(entry))
 
     def on_hit(self, entry: CacheEntry) -> None:
         self._clock += 1
-        last = entry.policy_data
-        if last is not None:
-            self.estimator.observe(self._clock - last)
-        entry.policy_data = self._clock
+        data = entry.policy_data
+        self.estimator.observe(self._clock - data[0])
+        data[0] = self._clock
         self._heap.update_key(entry, self._value(entry))
 
     def peek_victim(self) -> CacheEntry:

@@ -35,7 +35,11 @@ EstimatorFactory = Callable[[], OnlineBetaEstimator]
 
 
 class GDStarTypedPolicy(ReplacementPolicy):
-    """Greedy-Dual* with one online β estimator per document type."""
+    """Greedy-Dual* with one online β estimator per document type.
+
+    ``policy_data`` is ``[last_clock, c]``, as in
+    :class:`~repro.core.gdstar.GDStarPolicy`.
+    """
 
     def __init__(self, cost_model: CostModel = None,
                  estimator_factory: Optional[EstimatorFactory] = None):
@@ -56,8 +60,8 @@ class GDStarTypedPolicy(ReplacementPolicy):
         return self.estimators[doc_type].beta
 
     def _value(self, entry: CacheEntry) -> float:
-        size = max(entry.size, 1)
-        utility = entry.frequency * self.cost_model.cost(size) / size
+        utility = (entry.frequency * entry.policy_data[1]
+                   / max(entry.size, 1))
         if utility > _MAX_UTILITY:
             utility = _MAX_UTILITY
         exponent = 1.0 / self.estimators[entry.doc_type].beta
@@ -69,15 +73,15 @@ class GDStarTypedPolicy(ReplacementPolicy):
 
     def on_admit(self, entry: CacheEntry) -> None:
         self._clock += 1
-        entry.policy_data = self._clock
+        entry.policy_data = [self._clock,
+                             self.cost_model.cost(max(entry.size, 1))]
         self._heap.push(entry, self._value(entry))
 
     def on_hit(self, entry: CacheEntry) -> None:
         self._clock += 1
-        last = entry.policy_data
-        if last is not None:
-            self.estimators[entry.doc_type].observe(self._clock - last)
-        entry.policy_data = self._clock
+        data = entry.policy_data
+        self.estimators[entry.doc_type].observe(self._clock - data[0])
+        data[0] = self._clock
         self._heap.update_key(entry, self._value(entry))
 
     def peek_victim(self) -> CacheEntry:

@@ -18,12 +18,13 @@ Concurrency contract
 --------------------
 
 Policies are **single-threaded**.  Every mutation point — the dlist
-relinks of :meth:`ReplacementPolicy.on_hit`, the heap sifts of
-``pop_victim``/``update_key``, the aging-state updates of LFU-DA and
-the Greedy-Dual family — leaves the backing structure transiently
-inconsistent (a node unlinked but not relinked, a heap entry mid-sift
-with a stale position map, ``cache_age``/``inflation`` read before the
-pop that advances it).  Nothing in :mod:`repro.core` locks, because
+relinks of :meth:`ReplacementPolicy.on_hit`, the heap pushes, pops and
+compactions of ``pop_victim``/``update_key``, the aging-state updates
+of LFU-DA and the Greedy-Dual family — leaves the backing structure
+transiently inconsistent (a node unlinked but not relinked, a heap
+live map pointing at a tuple not yet pushed or a compaction midway
+through rebuilding the list, ``cache_age``/``inflation`` read before
+the pop that advances it).  Nothing in :mod:`repro.core` locks, because
 the simulator drives each cache from exactly one thread.
 
 Concurrent access therefore belongs one layer up:

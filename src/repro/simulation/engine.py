@@ -306,38 +306,6 @@ class CacheCell:
                 bucket[0] += 1
                 bucket[1] += transfer
 
-    def process_chunk_hinted(self, chunk: Sequence[tuple], start: int,
-                             costs: Sequence[float]) -> None:
-        """Deferred hot loop with per-reference Greedy-Dual key costs.
-
-        ``costs[j]`` is the policy cost model's cost of ``chunk[j]``'s
-        clamped size, precomputed as one array op by the columnar
-        engine; the policy consumes it through its ``_hint_cost`` slot
-        instead of recomputing ``cost_model.cost(size)`` per reference.
-        Only the columnar driver calls this, and only on deferred cells
-        whose policy advertises the slot.
-        """
-        reference = self.cache.reference
-        policy = self.policy
-        w_end = self._warmup - start
-        hit_outcome = AccessOutcome.HIT
-        overall = self._hit_overall
-        by_type = self._hit_by_type
-        j = 0
-        try:
-            for url, size, doc_type, transfer, _raw, _ts in chunk:
-                policy._hint_cost = costs[j]
-                outcome = reference(url, size, doc_type)
-                if j >= w_end and outcome is hit_outcome:
-                    overall[0] += 1
-                    overall[1] += transfer
-                    bucket = by_type[doc_type]
-                    bucket[0] += 1
-                    bucket[1] += transfer
-                j += 1
-        finally:
-            policy._hint_cost = None
-
     def process_one(self, ref: tuple, position: int) -> AccessOutcome:
         """Full per-request path: freshness, reference, accounting."""
         url, size, doc_type, transfer, raw_size, timestamp = ref

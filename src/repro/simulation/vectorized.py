@@ -23,9 +23,9 @@ state into column operations:
 * **FIFO** — a shadow recency-free queue replays
   :meth:`~repro.core.cache.Cache.reference` exactly, without entry or
   heap machinery;
-* **Greedy-Dual keys** — the cost-model term of ``H(p)`` is
-  precomputed per chunk (:meth:`~repro.core.cost.CostModel.cost_array`)
-  and consumed through the policies' ``_hint_cost`` slot.
+* **Greedy-Dual keys** — need no column work: each policy computes the
+  cost-model term of ``H(p)`` once per admission and keeps it on the
+  entry, so a hit re-keys without calling the cost model.
 
 Cells that fit no fast path consume ordinary resolved-tuple chunks via
 :meth:`CacheCell.process_chunk`, decoded once per chunk from the
@@ -58,11 +58,7 @@ import numpy as np
 
 from repro.analysis.stack_distance import keyed_stack_distances
 from repro.core.cache import Cache
-from repro.core.cost import ByteCost, ConstantCost, LatencyCost, PacketCost
 from repro.core.fifo import FIFOPolicy
-from repro.core.gds import GDSPolicy
-from repro.core.gdsf import GDSFPolicy
-from repro.core.gdstar import GDStarPolicy
 from repro.core.lru import LRUPolicy
 from repro.observability.profiling import PhaseTimings, phase_timer
 from repro.observability.trace import span as _span
@@ -391,36 +387,11 @@ def _run_fifo_cell(cell: CacheCell, doc_list: list, size_list: list,
 # ----- chunked tuple dispatch for everything else ---------------------------
 
 
-def _cost_model_key(model) -> tuple:
-    """Hashable identity for sharing per-chunk cost arrays."""
-    kind = type(model)
-    if kind is ConstantCost:
-        return ("const", model.value)
-    if kind is PacketCost:
-        return ("packet", model.mss, model.ceil_packets)
-    if kind is ByteCost:
-        return ("byte",)
-    if kind is LatencyCost:
-        return ("latency", model.rtt_seconds, model.bandwidth)
-    return ("instance", id(model))
-
-
-def _hinted_model(cell: CacheCell):
-    """The cell's Greedy-Dual cost model when key hinting applies."""
-    if not cell.deferred or type(cell.cache) is not Cache:
-        return None
-    if type(cell.policy) in (GDSPolicy, GDSFPolicy, GDStarPolicy):
-        return cell.policy.cost_model
-    return None
-
-
 def _drive_chunks(trace, stream: ColumnarReferenceStream,
-                  plain: Dict[tuple, List[CacheCell]],
-                  hinted: Dict[tuple, List[tuple]]) -> None:
+                  plain: Dict[tuple, List[CacheCell]]) -> None:
     """Decode resolved-tuple chunks once and feed every consumer."""
     n = len(trace)
-    keys = set(plain) | set(hinted)
-    if not keys or n == 0:
+    if not plain or n == 0:
         return
     urls = trace.urls()
     types = DOCUMENT_TYPES
@@ -429,7 +400,7 @@ def _drive_chunks(trace, stream: ColumnarReferenceStream,
     transfers = stream.transfers_clamped
     raw_sizes = trace.sizes
     timestamps = trace.timestamps
-    resolved = {key: stream.resolved_sizes(key) for key in keys}
+    resolved = {key: stream.resolved_sizes(key) for key in plain}
     for start in range(0, n, DEFAULT_CHUNK_SIZE):
         end = min(start + DEFAULT_CHUNK_SIZE, n)
         doc_list = doc[start:end].tolist()
@@ -439,25 +410,12 @@ def _drive_chunks(trace, stream: ColumnarReferenceStream,
         time_list = timestamps[start:end].tolist()
         url_chunk = [urls[d] for d in doc_list]
         type_chunk = [types[c] for c in code_list]
-        cost_cache: Dict[tuple, list] = {}
-        for key in keys:
-            resolved_slice = resolved[key][start:end]
-            chunk = list(zip(url_chunk, resolved_slice.tolist(),
+        for key, key_cells in plain.items():
+            chunk = list(zip(url_chunk, resolved[key][start:end].tolist(),
                              type_chunk, transfer_list, raw_list,
                              time_list))
-            for cell in plain.get(key, ()):
+            for cell in key_cells:
                 cell.process_chunk(chunk, start)
-            pairs = hinted.get(key)
-            if pairs:
-                clamped = None
-                for cell, model, model_key in pairs:
-                    costs = cost_cache.get((key, model_key))
-                    if costs is None:
-                        if clamped is None:
-                            clamped = np.maximum(resolved_slice, 1)
-                        costs = model.cost_array(clamped).tolist()
-                        cost_cache[(key, model_key)] = costs
-                    cell.process_chunk_hinted(chunk, start, costs)
 
 
 # ----- the column driver ----------------------------------------------------
@@ -480,25 +438,18 @@ def drive_columns(trace, cells: Sequence[CacheCell],
         ladder, rest = [], list(cells)
     fifo: List[CacheCell] = []
     plain: Dict[tuple, List[CacheCell]] = {}
-    hinted: Dict[tuple, List[tuple]] = {}
     for cell in rest:
         if _fifo_eligible(cell):
             fifo.append(cell)
-            continue
-        key = resolver_key(cell.config)
-        model = _hinted_model(cell)
-        if model is not None:
-            hinted.setdefault(key, []).append(
-                (cell, model, _cost_model_key(model)))
         else:
-            plain.setdefault(key, []).append(cell)
+            plain.setdefault(resolver_key(cell.config), []).append(cell)
     with _span("resolve"), phase_timer("resolve", timings):
         for cell in cells:
             stream.resolved_sizes(resolver_key(cell.config))
         if boundaries:
             _tally_boundaries(trace, stream, boundaries)
     with _span("drive"), phase_timer("pass", timings):
-        _drive_chunks(trace, stream, plain, hinted)
+        _drive_chunks(trace, stream, plain)
         if fifo:
             doc_list = trace.doc_ids.tolist()
             code_list = trace.type_codes.tolist()

@@ -2,8 +2,9 @@
 
 * :class:`~repro.structures.dlist.DList` — intrusive doubly-linked list
   backing the LRU and FIFO policies (O(1) move-to-front / unlink).
-* :class:`~repro.structures.addressable_heap.AddressableHeap` — binary
-  min-heap with a position map, supporting in-place key updates; backs the
+* :class:`~repro.structures.addressable_heap.AddressableHeap` — ``heapq``
+  min-heap with lazy deletion (a live-entry map, stale entries skipped
+  and compacted), supporting key updates and removals; backs the
   Greedy-Dual family and LFU-DA.
 * :class:`~repro.structures.histogram.LogHistogram` — logarithmically
   binned counter used for reuse-distance distributions (β estimation).

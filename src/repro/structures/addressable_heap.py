@@ -1,9 +1,20 @@
-"""Addressable binary min-heap.
+"""Addressable min-heap: :mod:`heapq` with lazy deletion.
 
-A binary heap over ``(key, item)`` pairs with a position map so that a
-specific item's key can be updated (raised or lowered) in O(log n) and an
-arbitrary item removed in O(log n).  Ties are broken by insertion order,
-which makes every policy built on it deterministic.
+A binary heap over ``(key, seq, item)`` tuples plus a map from each live
+item to its current tuple, so that a specific item's key can be updated
+(raised or lowered) and an arbitrary item removed in O(log n)
+amortized.  ``seq`` is a fresh counter value on every push and re-key,
+so ``(key, seq)`` is a total order: ties break by insertion order, a
+re-keyed item sorts after existing equal keys, and every policy built
+on the heap is deterministic.  Because the order is total, any correct
+min-heap pops the same sequence, whatever its internal layout.
+
+Updates never sift in place.  ``update_key`` pushes a new tuple and
+``remove`` only forgets the item; the superseded tuple stays in the
+list as a *stale* entry (one the live map no longer points at) until
+``pop``/``peek`` skip it or a compaction filters it out.  Compaction
+runs when stale entries outnumber live ones (plus slack), which keeps
+memory O(live) and the amortized cost of each operation O(log n).
 
 This single structure backs all value-based replacement policies: the
 Greedy-Dual family pops the minimum-H document, LFU-DA pops the minimum
@@ -13,186 +24,123 @@ Greedy-Dual family pops the minimum-H document, LFU-DA pops the minimum
 from __future__ import annotations
 
 import itertools
+from heapq import heapify, heappop, heappush
 from typing import Dict, Generic, Hashable, Iterator, Tuple, TypeVar
 
 K = TypeVar("K")  # keys must be mutually comparable
+
+#: Stale entries tolerated beyond the live count before compacting.
+_COMPACT_SLACK = 64
 
 
 class AddressableHeap(Generic[K]):
     """Min-heap keyed by ``(key, sequence)`` with item addressing."""
 
-    __slots__ = ("_entries", "_positions", "_counter")
+    __slots__ = ("_heap", "_live", "_counter")
 
     def __init__(self):
-        # Each entry is [key, seq, item]; seq breaks ties FIFO.
-        self._entries: list = []
-        self._positions: Dict[Hashable, int] = {}
+        # Entries are (key, seq, item); seq is unique, so the item is
+        # never compared.  _live maps item -> its current entry.
+        self._heap: list = []
+        self._live: Dict[Hashable, tuple] = {}
         self._counter = itertools.count()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._live)
 
     def __bool__(self) -> bool:
-        return bool(self._entries)
+        return bool(self._live)
 
     def __contains__(self, item: Hashable) -> bool:
-        return item in self._positions
+        return item in self._live
 
     def __iter__(self) -> Iterator[Hashable]:
-        """Iterate items in arbitrary (heap) order."""
-        return (entry[2] for entry in self._entries)
+        """Iterate live items in arbitrary order."""
+        return iter(self._live)
 
     def push(self, item: Hashable, key: K) -> None:
         """Insert an item.  Raises KeyError if the item is already present."""
-        if item in self._positions:
+        if item in self._live:
             raise KeyError(f"item already in heap: {item!r}")
-        entry = [key, next(self._counter), item]
-        self._entries.append(entry)
-        self._positions[item] = len(self._entries) - 1
-        self._sift_up(len(self._entries) - 1)
+        entry = (key, next(self._counter), item)
+        self._live[item] = entry
+        heappush(self._heap, entry)
 
     def key_of(self, item: Hashable) -> K:
         """Current key of an item.  Raises KeyError if absent."""
-        return self._entries[self._positions[item]][0]
+        return self._live[item][0]
 
     def peek(self) -> Tuple[Hashable, K]:
         """The (item, key) pair with the minimum key, without removing it."""
-        if not self._entries:
-            raise IndexError("peek at empty heap")
-        entry = self._entries[0]
-        return entry[2], entry[0]
+        heap, live = self._heap, self._live
+        while heap:
+            entry = heap[0]
+            if live.get(entry[2]) is entry:
+                return entry[2], entry[0]
+            heappop(heap)
+        raise IndexError("peek at empty heap")
 
     def pop(self) -> Tuple[Hashable, K]:
         """Remove and return the (item, key) pair with the minimum key."""
-        if not self._entries:
-            raise IndexError("pop from empty heap")
-        entry = self._entries[0]
-        self._remove_at(0)
-        return entry[2], entry[0]
+        heap, live = self._heap, self._live
+        while heap:
+            key, _seq, item = entry = heappop(heap)
+            if live.get(item) is entry:
+                del live[item]
+                if len(heap) > 2 * len(live) + _COMPACT_SLACK:
+                    self._compact()
+                return item, key
+        raise IndexError("pop from empty heap")
 
     def remove(self, item: Hashable) -> K:
         """Remove an arbitrary item; returns its key."""
-        pos = self._positions[item]
-        key = self._entries[pos][0]
-        self._remove_at(pos)
+        live = self._live
+        key = live.pop(item)[0]
+        if len(self._heap) > 2 * len(live) + _COMPACT_SLACK:
+            self._compact()
         return key
 
     def update_key(self, item: Hashable, key: K) -> None:
-        """Set an item's key, restoring heap order in O(log n).
+        """Set an item's key.
 
         The new key is also assigned a fresh tie-break sequence number, so
         re-keyed items sort after existing equal keys (matching the
         "refreshed documents are newer" semantics the Greedy-Dual policies
         expect).
         """
-        pos = self._positions[item]
-        entry = self._entries[pos]
-        old_key = entry[0]
-        entry[0] = key
-        entry[1] = next(self._counter)
-        if key < old_key:
-            self._sift_up(pos)
-        else:
-            self._sift_down(pos)
+        live = self._live
+        if item not in live:
+            raise KeyError(item)
+        entry = (key, next(self._counter), item)
+        live[item] = entry
+        heap = self._heap
+        heappush(heap, entry)
+        if len(heap) > 2 * len(live) + _COMPACT_SLACK:
+            self._compact()
 
     def clear(self) -> None:
-        self._entries.clear()
-        self._positions.clear()
+        self._heap.clear()
+        self._live.clear()
 
-    # ----- internal sift machinery -------------------------------------
-
-    def _less(self, a: int, b: int) -> bool:
-        ea, eb = self._entries[a], self._entries[b]
-        # Hot path: avoid building tie-break tuples unless keys tie.
-        key_a, key_b = ea[0], eb[0]
-        if key_a != key_b:
-            return key_a < key_b
-        return ea[1] < eb[1]
-
-    def _swap(self, a: int, b: int) -> None:
-        entries = self._entries
-        entries[a], entries[b] = entries[b], entries[a]
-        self._positions[entries[a][2]] = a
-        self._positions[entries[b][2]] = b
-
-    # The sift loops are the hottest code in every value-based policy
-    # (millions of calls per simulated trace), so they trade the tidy
-    # _less/_swap helpers for inlined comparisons and the classic
-    # "hole" technique: the moving entry is written once at its final
-    # position instead of being swapped down level by level.  The
-    # comparison predicate is exactly _less, so heap layouts (and with
-    # them every policy's eviction order) are unchanged.
-
-    def _sift_up(self, pos: int) -> None:
-        entries = self._entries
-        positions = self._positions
-        entry = entries[pos]
-        key, seq = entry[0], entry[1]
-        while pos > 0:
-            parent_pos = (pos - 1) >> 1
-            parent = entries[parent_pos]
-            parent_key = parent[0]
-            if key < parent_key or (key == parent_key
-                                    and seq < parent[1]):
-                entries[pos] = parent
-                positions[parent[2]] = pos
-                pos = parent_pos
-            else:
-                break
-        entries[pos] = entry
-        positions[entry[2]] = pos
-
-    def _sift_down(self, pos: int) -> None:
-        entries = self._entries
-        positions = self._positions
-        size = len(entries)
-        entry = entries[pos]
-        key, seq = entry[0], entry[1]
-        while True:
-            child_pos = 2 * pos + 1
-            if child_pos >= size:
-                break
-            child = entries[child_pos]
-            right_pos = child_pos + 1
-            if right_pos < size:
-                right = entries[right_pos]
-                child_key, right_key = child[0], right[0]
-                if right_key < child_key or (right_key == child_key
-                                             and right[1] < child[1]):
-                    child_pos, child = right_pos, right
-            child_key = child[0]
-            if child_key < key or (child_key == key
-                                   and child[1] < seq):
-                entries[pos] = child
-                positions[child[2]] = pos
-                pos = child_pos
-            else:
-                break
-        entries[pos] = entry
-        positions[entry[2]] = pos
-
-    def _remove_at(self, pos: int) -> None:
-        entries = self._entries
-        last = len(entries) - 1
-        item = entries[pos][2]
-        if pos != last:
-            self._swap(pos, last)
-            entries.pop()
-            del self._positions[item]
-            # The moved entry may need to go either way.
-            self._sift_down(pos)
-            self._sift_up(pos)
-        else:
-            entries.pop()
-            del self._positions[item]
+    def _compact(self) -> None:
+        """Drop stale entries; callers run it once the list outgrows
+        twice the live count plus slack."""
+        live = self._live
+        self._heap = [entry for entry in self._heap
+                      if live.get(entry[2]) is entry]
+        heapify(self._heap)
 
     # ----- debugging aids ----------------------------------------------
 
     def check_invariants(self) -> None:
-        """Assert heap order and position-map consistency (tests only)."""
-        for pos, entry in enumerate(self._entries):
-            assert self._positions[entry[2]] == pos, "position map stale"
-            if pos > 0:
-                parent = (pos - 1) >> 1
-                assert not self._less(pos, parent), "heap order violated"
-        assert len(self._positions) == len(self._entries)
+        """Assert heap order, live-map consistency and the compaction
+        bound (tests only)."""
+        heap, live = self._heap, self._live
+        for pos in range(1, len(heap)):
+            assert not heap[pos] < heap[(pos - 1) >> 1], \
+                "heap order violated"
+        current = [entry for entry in heap if live.get(entry[2]) is entry]
+        assert len(current) == len(live), "live map stale"
+        assert all(live[entry[2]] is entry for entry in current)
+        assert len(heap) <= 2 * len(live) + _COMPACT_SLACK, \
+            "stale entries not compacted"

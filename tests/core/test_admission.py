@@ -133,3 +133,19 @@ class TestSecondHitAdmission:
         outcome = ref(cache, "big", size=100)  # second hit, but too big
         assert outcome is AccessOutcome.MISS_TOO_BIG
         assert "big" not in cache
+
+    def test_next_victim_forwards_to_inner(self):
+        cache = self.cache()
+        for url in ("a", "b"):
+            ref(cache, url), ref(cache, url)    # both resident
+        assert cache.next_victim() is cache.get("a")
+        assert len(cache) == 2                   # peeking evicts nothing
+
+    def test_rejected_second_attach_leaves_wrapper_unchanged(self):
+        from repro.errors import SimulationError
+        policy = SecondHitAdmission(LRUPolicy())
+        first = Cache(100, policy)
+        with pytest.raises(SimulationError):
+            Cache(100, policy)
+        assert policy.cache is first
+        assert policy.inner.cache is first

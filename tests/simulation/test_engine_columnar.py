@@ -9,8 +9,9 @@ statistic must match what the classic per-Request loop produces on the
 same workload.  These tests extend the equivalence matrix of
 ``test_engine.py`` across the format boundary — every registered
 policy, every size interpretation, warmup fractions, the vectorized
-LRU ladder, the FIFO shadow-queue fast path, hinted Greedy-Dual cost
-models, accounting extras, and the sweep/parallel/service entry points.
+LRU ladder, the FIFO shadow-queue fast path, the Greedy-Dual policies
+under both cost models, accounting extras, and the sweep/parallel/service
+entry points.
 """
 
 import random

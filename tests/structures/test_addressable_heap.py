@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.structures.addressable_heap import AddressableHeap
@@ -182,3 +182,103 @@ def test_property_update_then_drain(ops):
         _, key = heap.pop()
         drained.append(key)
     assert drained == sorted(live.values())
+
+
+# ----- model-based: the heap against a reference sorted by (key, seq) ------
+
+_ITEMS = st.integers(min_value=0, max_value=7)
+_KEYS = st.integers(min_value=0, max_value=20)  # narrow range: ties
+#: Re-keys dominate and clears are rare, so stale entries often pile up
+#: past the compaction threshold (2 * live + 64) between clears.
+_OP_NAMES = (["update_key"] * 300 + ["push"] * 20 + ["pop"] * 5
+             + ["peek"] * 5 + ["remove"] * 5 + ["key_of"] * 10
+             + ["clear"])
+_OPS = st.tuples(st.sampled_from(_OP_NAMES), _ITEMS, _KEYS)
+
+#: Falling re-keys sink every stale entry below the live ones, so only
+#: compaction can reclaim them: this case compacts several times.
+_COMPACTING = ([("push", item, 500) for item in range(8)]
+               + [("update_key", step % 8, 400 - step)
+                  for step in range(300)]
+               + [("peek", 0, 0), ("remove", 3, 0), ("pop", 0, 0),
+                  ("key_of", 5, 0), ("clear", 0, 0), ("push", 1, 2),
+                  ("pop", 0, 0)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_OPS, min_size=150, max_size=400))
+@example(_COMPACTING)
+def test_model_interleaved_operations(ops):
+    """Every op agrees with a reference that orders live items by
+    ``(key, seq)``, seq fresh on each push and re-key, across the
+    compaction threshold."""
+    heap = AddressableHeap()
+    model = {}      # item -> (key, seq)
+    seq = 0
+
+    def model_min():
+        item = min(model, key=model.__getitem__)
+        return item, model[item][0]
+
+    for op, item, key in ops:
+        if op == "push":
+            if item in model:
+                with pytest.raises(KeyError):
+                    heap.push(item, key)
+            else:
+                heap.push(item, key)
+                model[item] = (key, seq)
+                seq += 1
+        elif op == "update_key":
+            if item in model:
+                heap.update_key(item, key)
+                model[item] = (key, seq)
+                seq += 1
+            else:
+                with pytest.raises(KeyError):
+                    heap.update_key(item, key)
+        elif op in ("pop", "peek"):
+            if not model:
+                with pytest.raises(IndexError):
+                    getattr(heap, op)()
+                continue
+            expected = model_min()
+            assert getattr(heap, op)() == expected
+            if op == "pop":
+                del model[expected[0]]
+        elif op == "remove":
+            if item in model:
+                assert heap.remove(item) == model.pop(item)[0]
+            else:
+                with pytest.raises(KeyError):
+                    heap.remove(item)
+        elif op == "key_of":
+            if item in model:
+                assert heap.key_of(item) == model[item][0]
+            else:
+                with pytest.raises(KeyError):
+                    heap.key_of(item)
+        else:
+            heap.clear()
+            model.clear()
+        heap.check_invariants()
+        assert len(heap) == len(model)
+        assert set(heap) == set(model)
+        assert all((i in heap) == (i in model) for i in range(8))
+    drained = [heap.pop() for _ in range(len(model))]
+    assert drained == [(item, model[item][0])
+                       for item in sorted(model, key=model.__getitem__)]
+
+
+def test_stale_entries_stay_bounded_under_rekeying():
+    """Lazy deletion keeps memory O(live): 10k re-keys of 50 items
+    never grow the internal list past 2 * live + 64."""
+    rng = random.Random(7)
+    heap = AddressableHeap()
+    for item in range(50):
+        heap.push(item, rng.random())
+    for _ in range(10_000):
+        heap.update_key(rng.randrange(50), rng.random())
+        assert len(heap._heap) <= 2 * len(heap) + 64
+    heap.check_invariants()
+    assert len(heap) == 50
