@@ -33,6 +33,8 @@ import html as _html
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
+from repro.experiments.regress import condition_label
+from repro.experiments.service import own_fields_label, record_spec
 from repro.experiments.stats import summarize
 from repro.types import PLOTTED_TYPES
 
@@ -408,9 +410,7 @@ def verdict_table(report_data: dict,
     for v in report_data.get("verdicts", []):
         verdict = str(v.get("verdict"))
         icon = _VERDICT_ICONS.get(verdict, "")
-        condition = (f"{v.get('trace')}/scale={v.get('scale')}"
-                     f"/{v.get('policy')}"
-                     f"/cache={v.get('size_fraction')}")
+        condition = condition_label(v)
         rows.append(
             "<tr>"
             f"<td>{_esc(condition)}</td>"
@@ -460,18 +460,20 @@ def render_document(title: str, sections: Sequence[str],
 # --------------------------------------------------------------------------
 
 def _store_groups(store) -> Dict[tuple, Dict[float, Dict[str, dict]]]:
-    """(trace, scale, git_hash) -> size_fraction -> policy -> payloads
-    keyed by seed."""
+    """(condition minus size_fraction, git_hash) -> size_fraction ->
+    policy -> payloads keyed by seed: one panel set per condition,
+    with the cache size on the x axis."""
     groups: Dict[tuple, Dict[float, Dict[str, dict]]] = {}
     for key, record in sorted(store.records().items()):
-        payload = record.get("payload") or {}
-        spec = payload.get("spec") or {}
-        if "policy" not in spec or "size_fraction" not in spec:
+        spec = record_spec(record.get("payload") or {})
+        if spec is None:
             continue
-        group = groups.setdefault(
-            (spec.get("trace"), spec.get("scale"), key.git_hash), {})
-        by_policy = group.setdefault(float(spec["size_fraction"]), {})
-        by_policy.setdefault(spec["policy"], {})[key.seed] = payload
+        panel = tuple(item for item in spec.condition()
+                      if item[0] != "size_fraction")
+        group = groups.setdefault((panel, key.git_hash), {})
+        by_policy = group.setdefault(spec.size_fraction, {})
+        by_policy.setdefault(spec.policy, {})[key.seed] = \
+            record["payload"]
     return groups
 
 
@@ -517,22 +519,25 @@ def report_from_store(store, *, regression: Optional[dict] = None,
     """
     sections: List[str] = []
     slots = SlotAssigner()
-    for group_key, group in sorted(_store_groups(store).items(),
-                                   key=lambda item: str(item[0])):
-        trace, scale, git_hash = group_key
+    for (panel, git_hash), group in sorted(
+            _store_groups(store).items(), key=lambda item: str(item[0])):
+        panel = dict(panel)
+        own = own_fields_label(panel)
+        subject = panel["trace"] + own
         fractions = sorted(group)
         x_labels = [f"{fraction:g}" for fraction in fractions]
-        meta = (f"trace={trace} scale={scale:g} git={git_hash} — "
+        meta = (f"trace={panel['trace']} scale={panel['scale']:g}{own} "
+                f"git={git_hash} — "
                 "x: cache size as a fraction of total data; whiskers: "
                 "95% CI across seeds")
         sections.append(line_chart(
-            f"hit rate vs cache size — {trace} @ {git_hash}",
+            f"hit rate vs cache size — {subject} @ {git_hash}",
             x_labels,
             _series_from_group(fractions, group,
                                lambda p: p.get("hit_rate")),
             meta=meta, slots=slots))
         sections.append(line_chart(
-            f"byte hit rate vs cache size — {trace} @ {git_hash}",
+            f"byte hit rate vs cache size — {subject} @ {git_hash}",
             x_labels,
             _series_from_group(fractions, group,
                                lambda p: p.get("byte_hit_rate")),
@@ -546,7 +551,7 @@ def report_from_store(store, *, regression: Optional[dict] = None,
                        for v in one["values"]):
                 continue  # records predate the per-type breakdown
             sections.append(line_chart(
-                f"{doc_type.value} hit rate — {trace} @ {git_hash}",
+                f"{doc_type.value} hit rate — {subject} @ {git_hash}",
                 x_labels, type_series, meta=meta, slots=slots))
     if not sections:
         sections.append('<div class="panel"><p class="note">'

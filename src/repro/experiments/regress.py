@@ -3,11 +3,12 @@
 The store keys every record by ``(config_hash, git_hash, seed)``, so
 two code revisions that ran the same seeded trial grid leave two
 replicate samples per configuration and metric.  This module turns
-those into verdicts: for every (trace, scale, policy, size_fraction)
-condition and every metric it can find — overall hit rate, byte hit
-rate, and the per-document-type hit rates the paper's analysis turns
-on — it runs a Mann-Whitney U test plus the Vargha-Delaney A12 effect
-size between the baseline and candidate revisions and labels the pair
+those into verdicts: for every configuration (a trial spec minus its
+seed: one policy under one condition of one trial kind) and every
+metric it can find — overall hit rate, byte hit rate, and the
+per-document-type hit rates the paper's analysis turns on — it runs a
+Mann-Whitney U test plus the Vargha-Delaney A12 effect size between
+the baseline and candidate revisions and labels the pair
 
 * ``improved`` / ``regressed`` — significant at ``alpha`` **and** a
   non-negligible effect size (direction from A12);
@@ -30,7 +31,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ServiceError
@@ -40,7 +42,16 @@ from repro.experiments.stats import (
     summarize,
     vargha_delaney_a12,
 )
-from repro.experiments.store import ResultsStore, git_revision
+from repro.experiments.service import (
+    STORE_DIRNAME,
+    own_fields_label,
+    record_spec,
+)
+from repro.experiments.store import (
+    ResultsStore,
+    canonical_json,
+    git_revision,
+)
 
 __all__ = [
     "Verdict",
@@ -48,6 +59,8 @@ __all__ = [
     "collect_samples",
     "resolve_hashes",
     "detect_regressions",
+    "regress_arguments",
+    "run_regress",
     "main",
 ]
 
@@ -59,12 +72,10 @@ INDISTINGUISHABLE = "indistinguishable"
 
 @dataclass(frozen=True)
 class Verdict:
-    """One (condition, metric) comparison between two revisions."""
+    """One (configuration, metric) comparison between two revisions."""
 
-    trace: str
-    scale: float
-    policy: str
-    size_fraction: float
+    #: The trial spec minus its seed, as (field, value) pairs.
+    config: Tuple[Tuple[str, object], ...]
     metric: str
     n_baseline: int
     n_candidate: int
@@ -78,23 +89,26 @@ class Verdict:
 
     @property
     def condition(self) -> str:
-        return (f"{self.trace}/scale={self.scale:g}/{self.policy}"
-                f"/cache={self.size_fraction:g}")
+        return condition_label(self.as_dict())
 
     def as_dict(self) -> dict:
-        return {
-            "trace": self.trace, "scale": self.scale,
-            "policy": self.policy,
-            "size_fraction": self.size_fraction,
-            "metric": self.metric,
-            "n_baseline": self.n_baseline,
-            "n_candidate": self.n_candidate,
-            "mean_baseline": self.mean_baseline,
-            "mean_candidate": self.mean_candidate,
-            "delta": self.delta, "p_value": self.p_value,
-            "a12": self.a12, "magnitude": self.magnitude,
-            "verdict": self.verdict,
-        }
+        return {**dict(self.config),
+                **{name: getattr(self, name) for name in _STATISTICS}}
+
+
+#: Verdict fields that are statistics rather than spec fields.
+_STATISTICS = tuple(verdict_field.name for verdict_field
+                    in fields(Verdict) if verdict_field.name != "config")
+
+
+def condition_label(verdict: dict) -> str:
+    """``trace/scale=…/policy/cache=…`` plus ``/name=value`` for each
+    field the trial kind adds, from a :meth:`Verdict.as_dict`."""
+    config = {name: value for name, value in verdict.items()
+              if name not in _STATISTICS}
+    return (f"{config['trace']}/scale={config['scale']:g}"
+            f"/{config['policy']}/cache={config['size_fraction']:g}"
+            f"{own_fields_label(config, sep='/')}")
 
 
 @dataclass
@@ -172,33 +186,39 @@ def _payload_metrics(payload: dict) -> Dict[str, float]:
     return out
 
 
-# condition -> git_hash -> metric -> {seed: value}
-Samples = Dict[Tuple[str, float, str, float],
-               Dict[str, Dict[str, Dict[int, float]]]]
+# configuration -> git_hash -> metric -> {seed: value}
+Samples = Dict[tuple, Dict[str, Dict[str, Dict[int, float]]]]
+
+
+def _configs(store: ResultsStore) -> Dict[tuple, Tuple[dict, dict]]:
+    """configuration values -> (configuration, its samples by hash)."""
+    grouped: Dict[tuple, Tuple[dict, dict]] = {}
+    for key, record in sorted(store.records().items()):
+        payload = record.get("payload") or {}
+        spec = record_spec(payload)
+        if spec is None:
+            continue  # foreign record (not written by the service)
+        config = spec.as_dict()
+        del config["seed"]
+        _, by_hash = grouped.setdefault(tuple(config.values()),
+                                        (config, {}))
+        by_metric = by_hash.setdefault(key.git_hash, {})
+        for metric, value in _payload_metrics(payload).items():
+            by_metric.setdefault(metric, {})[key.seed] = value
+    return grouped
 
 
 def collect_samples(store: ResultsStore) -> Samples:
     """Group the store's service records for cross-revision tests.
 
-    Keyed by experimental condition — (trace, scale, policy,
-    size_fraction) — then git hash, then metric name; the innermost
+    Keyed by configuration — the spec's values minus the seed, in
+    field order, e.g. ``(trace, scale, policy, size_fraction)`` for a
+    classic trial — then git hash, then metric name; the innermost
     dict is keyed by seed so a duplicate append never double-counts a
     replica.
     """
-    samples: Samples = {}
-    for key, record in sorted(store.records().items()):
-        payload = record.get("payload") or {}
-        spec = payload.get("spec") or {}
-        if not all(field in spec for field in
-                   ("trace", "scale", "policy", "size_fraction")):
-            continue  # foreign record (not written by the service)
-        condition = (spec["trace"], spec["scale"], spec["policy"],
-                     spec["size_fraction"])
-        by_hash = samples.setdefault(condition, {})
-        by_metric = by_hash.setdefault(key.git_hash, {})
-        for metric, value in _payload_metrics(payload).items():
-            by_metric.setdefault(metric, {})[key.seed] = value
-    return samples
+    return {values: by_hash
+            for values, (_, by_hash) in _configs(store).items()}
 
 
 def resolve_hashes(store: ResultsStore,
@@ -257,8 +277,8 @@ def detect_regressions(store: ResultsStore,
         raise ServiceError(
             f"baseline and candidate are both {candidate!r}")
     verdicts: List[Verdict] = []
-    for condition, by_hash in sorted(collect_samples(store).items(),
-                                     key=lambda item: str(item[0])):
+    for _, (config, by_hash) in sorted(_configs(store).items(),
+                                       key=lambda item: str(item[0])):
         base_metrics = by_hash.get(baseline) or {}
         cand_metrics = by_hash.get(candidate) or {}
         shared = sorted(set(base_metrics) & set(cand_metrics))
@@ -274,10 +294,8 @@ def detect_regressions(store: ResultsStore,
                 verdict = IMPROVED if a12 > 0.5 else REGRESSED
             else:
                 verdict = INDISTINGUISHABLE
-            trace, scale, policy, fraction = condition
             verdicts.append(Verdict(
-                trace=trace, scale=scale, policy=policy,
-                size_fraction=fraction, metric=metric,
+                config=tuple(config.items()), metric=metric,
                 n_baseline=len(base), n_candidate=len(cand),
                 mean_baseline=summarize(base).mean,
                 mean_candidate=summarize(cand).mean,
@@ -288,13 +306,11 @@ def detect_regressions(store: ResultsStore,
                             alpha=alpha, verdicts=verdicts)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.regress",
-        description="Statistically-gated regression detection between "
-                    "two git revisions sharing one results store.")
-    parser.add_argument("--root", default="service/",
-                        help="service root directory")
+def regress_arguments() -> argparse.ArgumentParser:
+    """The flags of both front ends — this module's and the service's
+    ``regress`` verb — as an argparse parent; each adds its own
+    ``--root``."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--baseline", default=None,
                         help="baseline git hash (inferred when the "
                              "store holds exactly two)")
@@ -313,14 +329,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    from repro.experiments.service import STORE_DIRNAME
-    from repro.experiments.store import canonical_json
-    from pathlib import Path
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.experiments.regress",
+        description="Statistically-gated regression detection between "
+                    "two git revisions sharing one results store.",
+        parents=[regress_arguments()])
+    parser.add_argument("--root", default="service/",
+                        help="service root directory")
+    return parser
 
-    args = build_parser().parse_args(
-        list(sys.argv[1:] if argv is None else argv))
-    store = ResultsStore(Path(args.root) / STORE_DIRNAME)
+
+def run_regress(store: ResultsStore, args: argparse.Namespace) -> int:
+    """Print the verdicts for parsed :func:`regress_arguments`; the
+    exit code is 2 on an unresolvable revision pair, 1 on a gated
+    regression, else 0."""
     try:
         report = detect_regressions(
             store, baseline=args.baseline, candidate=args.candidate,
@@ -335,6 +358,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.fail_on_regression and report.regressions:
         return 1
     return 0
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(
+        list(sys.argv[1:] if argv is None else argv))
+    return run_regress(ResultsStore(Path(args.root) / STORE_DIRNAME),
+                       args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,8 +1,15 @@
 """The durable experiment service: enqueue / work / status / report.
 
-A *trial* is one seeded simulation cell — (trace profile, scale,
-policy, cache-size fraction, seed).  The service splits a standing
-experiment program into three crash-isolated pieces:
+A *trial* is one seeded cell — (trace profile, scale, policy,
+cache-size fraction, seed) plus whatever its *kind* adds: a classic
+single-cache simulation (:class:`TrialSpec`), a cache network
+(:class:`NetworkTrialSpec`: topology, strategy, shape ``n``) or a
+sharded serving replay (:class:`ServingTrialSpec`: shards).  Every
+kind derives from :class:`BaseTrialSpec`, which defines validation,
+hashing and the *condition* the reports group by once; the worker
+rebuilds a claimed spec through the :data:`TRIAL_KINDS` registry.  The
+service splits a standing experiment program into three crash-isolated
+pieces:
 
 * a :class:`~repro.experiments.queue.TrialQueue` of pending trials,
   claimed through leases so any number of workers on any number of
@@ -32,17 +39,27 @@ on purpose.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    ClassVar,
+    Dict,
+    List,
+    Optional,
+    Tuple,
+    Type,
+    Union,
+    get_type_hints,
+)
 
 from repro.errors import ServiceError
 from repro.experiments.config import SCALES
 from repro.experiments.queue import ClaimedTrial, TrialQueue
-from repro.experiments.stats import compare, rank_policies, summarize
+from repro.experiments.stats import compare, rank_policies
 from repro.experiments.store import (
     ResultKey,
     ResultsStore,
@@ -80,14 +97,25 @@ STORE_DIRNAME = "store"
 
 
 @dataclass(frozen=True)
-class TrialSpec:
-    """One seeded simulation cell, the service's unit of work."""
+class BaseTrialSpec:
+    """What every trial kind shares: one seeded cell on a generated
+    trace at one cache budget, the service's unit of work.
+
+    A kind subclasses this with only its own fields, their checks
+    (:meth:`_check`) and its :meth:`execute`, and registers in
+    :data:`TRIAL_KINDS`.  Everything else — coercion from a stored
+    dict, hashing, the condition reports group by — is derived here
+    from the dataclass fields, so it cannot drift between kinds.
+    """
 
     trace: str
     scale: float
     policy: str
     size_fraction: float
     seed: int
+
+    #: The kind's name in error messages.
+    kind: ClassVar[str] = "base"
 
     def __post_init__(self):
         if self.trace not in TRACE_PROFILES:
@@ -98,17 +126,28 @@ class TrialSpec:
             raise ServiceError("size_fraction must be in (0, 1]")
         if self.scale <= 0:
             raise ServiceError("scale must be positive")
+        self._check()
+
+    def _check(self) -> None:
+        """Validate the kind's own fields (raise :class:`ServiceError`)."""
 
     @classmethod
-    def from_dict(cls, data: dict) -> "TrialSpec":
+    def from_dict(cls, data: dict) -> "BaseTrialSpec":
+        """Rebuild a spec from its stored dict, coercing each field to
+        its declared type; unknown keys are ignored."""
+        types = get_type_hints(cls)
+        values = {}
         try:
-            return cls(trace=str(data["trace"]),
-                       scale=float(data["scale"]),
-                       policy=str(data["policy"]),
-                       size_fraction=float(data["size_fraction"]),
-                       seed=int(data["seed"]))
+            for spec_field in fields(cls):
+                if spec_field.name in data:
+                    values[spec_field.name] = types[spec_field.name](
+                        data[spec_field.name])
+                elif spec_field.default is MISSING:
+                    raise KeyError(spec_field.name)
         except (KeyError, TypeError, ValueError) as exc:
-            raise ServiceError(f"malformed trial spec: {exc}") from exc
+            raise ServiceError(
+                f"malformed {cls.kind} trial spec: {exc}") from exc
+        return cls(**values)
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -126,40 +165,58 @@ class TrialSpec:
                          git_hash=git_hash or git_revision(),
                          seed=self.seed)
 
+    def condition(self) -> Tuple[Tuple[str, object], ...]:
+        """The experimental condition policies are compared under: the
+        spec minus ``policy`` and ``seed``, as (field, value) pairs in
+        field order.  The report, the regression check and the HTML
+        panels all group by it, so trials of different kinds (or of
+        one kind with different own fields) never share a sample."""
+        return tuple((name, value) for name, value in
+                     self.as_dict().items()
+                     if name not in ("policy", "seed"))
+
+    def execute(self) -> dict:
+        """Run the trial; a deterministic, timestamp-free payload."""
+        raise NotImplementedError
+
+
+_BASE_FIELDS = frozenset(spec_field.name
+                         for spec_field in fields(BaseTrialSpec))
+
 
 @dataclass(frozen=True)
-class NetworkTrialSpec:
+class TrialSpec(BaseTrialSpec):
+    """One seeded single-cache simulation cell (the classic kind)."""
+
+    kind: ClassVar[str] = "classic"
+
+    def execute(self) -> dict:
+        return execute_trial(self)
+
+
+@dataclass(frozen=True)
+class NetworkTrialSpec(BaseTrialSpec):
     """One seeded cache-*network* cell: topology × strategy × policy.
 
-    Lives in the same queue and store as :class:`TrialSpec`; the
-    worker dispatches on the presence of the ``topology`` key (classic
-    specs never carry one, so stored hashes of existing trials are
-    untouched).  ``size_fraction`` is the *aggregate* cache budget as
-    a fraction of the trace's distinct bytes, split uniformly across
-    nodes by :func:`repro.network.topology.build_topology` — holding
-    total cache bytes constant is what makes hit rates comparable
-    across topologies.
+    ``size_fraction`` is the *aggregate* cache budget as a fraction of
+    the trace's distinct bytes, split uniformly across nodes by
+    :func:`repro.network.topology.build_topology` — holding total
+    cache bytes constant is what makes hit rates comparable across
+    topologies.
     """
 
-    trace: str
-    scale: float
     topology: str
     strategy: str
-    policy: str
-    size_fraction: float
-    seed: int
     #: Shape parameter: children (two-level), proxies (mesh), chain
     #: length (path), depth (tree); ignored for ``single``.
     n: int = 4
 
-    def __post_init__(self):
+    kind: ClassVar[str] = "network"
+
+    def _check(self) -> None:
         from repro.network.strategies import STRATEGY_NAMES
         from repro.network.topology import TOPOLOGY_KINDS
 
-        if self.trace not in TRACE_PROFILES:
-            raise ServiceError(
-                f"unknown trace profile {self.trace!r}; known: "
-                + ", ".join(TRACE_PROFILES))
         if self.topology not in TOPOLOGY_KINDS:
             raise ServiceError(
                 f"unknown topology {self.topology!r}; known: "
@@ -168,100 +225,77 @@ class NetworkTrialSpec:
             raise ServiceError(
                 f"unknown strategy {self.strategy!r}; known: "
                 + ", ".join(STRATEGY_NAMES))
-        if not 0 < self.size_fraction <= 1:
-            raise ServiceError("size_fraction must be in (0, 1]")
-        if self.scale <= 0:
-            raise ServiceError("scale must be positive")
         if self.n < 1:
             raise ServiceError("n must be >= 1")
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "NetworkTrialSpec":
-        try:
-            return cls(trace=str(data["trace"]),
-                       scale=float(data["scale"]),
-                       topology=str(data["topology"]),
-                       strategy=str(data["strategy"]),
-                       policy=str(data["policy"]),
-                       size_fraction=float(data["size_fraction"]),
-                       seed=int(data["seed"]),
-                       n=int(data.get("n", 4)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ServiceError(
-                f"malformed network trial spec: {exc}") from exc
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-    def config_key(self) -> str:
-        config = self.as_dict()
-        del config["seed"]
-        return config_hash(config)
-
-    def result_key(self, git_hash: Optional[str] = None) -> ResultKey:
-        return ResultKey(config_hash=self.config_key(),
-                         git_hash=git_hash or git_revision(),
-                         seed=self.seed)
+    def execute(self) -> dict:
+        return execute_network_trial(self)
 
 
 @dataclass(frozen=True)
-class ServingTrialSpec:
+class ServingTrialSpec(BaseTrialSpec):
     """One seeded *serving replay* cell: the online sharded cache as
     an experimental subject.
 
-    Lives in the same queue and store as :class:`TrialSpec`; the
-    worker dispatches on the presence of the ``shards`` key (classic
-    and network specs never carry one, so existing stored config
-    hashes are untouched).  The payload records the replayed hit
-    rates *and* their disagreement against the simulator and the Che
-    model — no timings, so the payload stays a pure function of the
-    spec and the store's bit-identical compaction guarantee holds.
+    The payload records the replayed hit rates *and* their
+    disagreement against the simulator and the Che model — no timings,
+    so the payload stays a pure function of the spec and the store's
+    bit-identical compaction guarantee holds.
     """
 
-    trace: str
-    scale: float
-    policy: str
-    size_fraction: float
-    seed: int
     shards: int = 4
 
-    def __post_init__(self):
-        if self.trace not in TRACE_PROFILES:
-            raise ServiceError(
-                f"unknown trace profile {self.trace!r}; known: "
-                + ", ".join(TRACE_PROFILES))
-        if not 0 < self.size_fraction <= 1:
-            raise ServiceError("size_fraction must be in (0, 1]")
-        if self.scale <= 0:
-            raise ServiceError("scale must be positive")
+    kind: ClassVar[str] = "serving"
+
+    def _check(self) -> None:
         if self.shards < 1:
             raise ServiceError("shards must be >= 1")
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServingTrialSpec":
-        try:
-            return cls(trace=str(data["trace"]),
-                       scale=float(data["scale"]),
-                       policy=str(data["policy"]),
-                       size_fraction=float(data["size_fraction"]),
-                       seed=int(data["seed"]),
-                       shards=int(data["shards"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ServiceError(
-                f"malformed serving trial spec: {exc}") from exc
+    def execute(self) -> dict:
+        return execute_serving_trial(self)
 
-    def as_dict(self) -> dict:
-        return asdict(self)
 
-    def config_key(self) -> str:
-        config = self.as_dict()
-        del config["seed"]
-        return config_hash(config)
+#: The registry of trial kinds beyond the classic one, keyed by the
+#: field only that kind's spec dicts carry.  Every kind shares one
+#: queue and one store; classic specs carry none of these keys, so
+#: their stored dicts, config hashes and trial ids never changed as
+#: kinds were added.
+TRIAL_KINDS: Dict[str, Type[BaseTrialSpec]] = {
+    "topology": NetworkTrialSpec,
+    "shards": ServingTrialSpec,
+}
 
-    def result_key(self, git_hash: Optional[str] = None) -> ResultKey:
-        return ResultKey(config_hash=self.config_key(),
-                         git_hash=git_hash or git_revision(),
-                         seed=self.seed)
+
+def kind_of(keys) -> Type[BaseTrialSpec]:
+    """The trial kind a spec dict (or a set of field names) belongs to."""
+    return next((kind for marker, kind in TRIAL_KINDS.items()
+                 if marker in keys), TrialSpec)
+
+
+def spec_from_dict(data: dict) -> BaseTrialSpec:
+    """Rebuild a stored spec dict as its registered kind."""
+    return kind_of(data).from_dict(data)
+
+
+def record_spec(payload: dict) -> Optional[BaseTrialSpec]:
+    """The spec a stored payload carries, or ``None`` for a record the
+    service did not write."""
+    spec = payload.get("spec")
+    if not isinstance(spec, dict):
+        return None
+    try:
+        return spec_from_dict(spec)
+    except ServiceError:
+        return None
+
+
+def own_fields_label(spec_fields: dict, sep: str = " ") -> str:
+    """``<sep>name=value`` for each field a kind adds to the shared
+    base, in order (empty for a classic spec) — how reports tell the
+    conditions of different kinds apart."""
+    return "".join(f"{sep}{name}={value}"
+                   for name, value in spec_fields.items()
+                   if name not in _BASE_FIELDS)
 
 
 class _WorkerTraceCache:
@@ -303,8 +337,11 @@ class _WorkerTraceCache:
             os.replace(tmp, path)
         return open_columnar(path, verify=False)
 
-    def get(self, trace: str, scale: float, seed: int):
-        fmt = os.environ.get("REPRO_TRACE_FORMAT", "objects")
+    def get(self, trace: str, scale: float, seed: int,
+            fmt: Optional[str] = None):
+        """The memoized trace; ``fmt`` overrides the configured format
+        for a trial kind that can only run on one of them."""
+        fmt = fmt or os.environ.get("REPRO_TRACE_FORMAT", "objects")
         spill = os.environ.get("REPRO_SERVICE_TRACE_DIR")
         key = (trace, scale, seed, fmt)
         if key not in self._traces:
@@ -418,12 +455,10 @@ def execute_serving_trial(spec: ServingTrialSpec) -> dict:
     from repro.serving.replay import ReplayConfig, validate_replay
     from repro.simulation.sweep import cache_sizes_from_fractions
 
-    trace = _TRACES.get(spec.trace, spec.scale, spec.seed)
-    if getattr(trace, "is_columnar", False):
-        # Replay drives Request objects through shard threads; the
-        # columnar mmap serves the simulators, not the serving layer.
-        trace = _WorkerTraceCache._generate(spec.trace, spec.scale,
-                                            spec.seed)
+    # Replay drives Request objects through shard threads, so it always
+    # takes the object trace — memoized per process like any other, so
+    # a columnar worker generates it once, not once per trial.
+    trace = _TRACES.get(spec.trace, spec.scale, spec.seed, "objects")
     capacity = cache_sizes_from_fractions(
         trace, [spec.size_fraction])[0]
     validation = validate_replay(
@@ -467,68 +502,40 @@ def open_service(root: PathLike, owner: Optional[str] = None,
     return queue, store
 
 
-def enqueue_grid(queue: TrialQueue, *, traces: Sequence[str],
-                 scale: float, policies: Sequence[str],
-                 size_fractions: Sequence[float],
-                 seeds: Sequence[int]) -> List[str]:
-    """Enqueue the full cross product; idempotent, returns trial ids."""
+def _plural(name: str) -> str:
+    return name[:-1] + "ies" if name.endswith("y") else name + "s"
+
+
+def enqueue_grid(queue: TrialQueue, **grid) -> List[str]:
+    """Enqueue one kind's full cross product; idempotent, returns
+    trial ids.
+
+    Each spec field is passed either swept, as a sequence under its
+    plural name (``traces``, ``policies``, ``size_fractions``,
+    ``seeds``, and a network grid's ``topologies``/``strategies``), or
+    fixed, as one value under its own name (``scale``, ``n``,
+    ``shards``).  The kind is picked from the field names exactly as
+    the worker picks it from a stored spec.  Trials are enqueued with
+    the trace varying slowest and the seed fastest; a kind's own swept
+    fields sit between trace and policy.
+    """
+    singular = {_plural(spec_field.name): spec_field.name
+                for kind in (TrialSpec, *TRIAL_KINDS.values())
+                for spec_field in fields(kind)}
+    swept = {singular[name]: values for name, values in grid.items()
+             if name in singular}
+    fixed = {name: value for name, value in grid.items()
+             if name not in singular}
+    kind = kind_of({**swept, **fixed})
+    order = ["trace", *(spec_field.name for spec_field in fields(kind)
+                        if spec_field.name not in _BASE_FIELDS),
+             "policy", "size_fraction", "seed"]
+    axes = sorted(swept, key=order.index)
     ids = []
-    for trace in traces:
-        for policy in policies:
-            for fraction in size_fractions:
-                for seed in seeds:
-                    spec = TrialSpec(trace=trace, scale=scale,
-                                     policy=policy,
-                                     size_fraction=fraction, seed=seed)
-                    trial_id, _ = queue.enqueue(spec.as_dict())
-                    ids.append(trial_id)
-    return ids
-
-
-def enqueue_network_grid(queue: TrialQueue, *, traces: Sequence[str],
-                         scale: float, topologies: Sequence[str],
-                         strategies: Sequence[str],
-                         policies: Sequence[str],
-                         size_fractions: Sequence[float],
-                         seeds: Sequence[int],
-                         n: int = 4) -> List[str]:
-    """Enqueue a network cross product (topology × strategy × policy
-    × budget × seed); idempotent, returns trial ids."""
-    ids = []
-    for trace in traces:
-        for topology in topologies:
-            for strategy in strategies:
-                for policy in policies:
-                    for fraction in size_fractions:
-                        for seed in seeds:
-                            spec = NetworkTrialSpec(
-                                trace=trace, scale=scale,
-                                topology=topology, strategy=strategy,
-                                policy=policy, size_fraction=fraction,
-                                seed=seed, n=n)
-                            trial_id, _ = queue.enqueue(spec.as_dict())
-                            ids.append(trial_id)
-    return ids
-
-
-def enqueue_serving_grid(queue: TrialQueue, *, traces: Sequence[str],
-                         scale: float, policies: Sequence[str],
-                         size_fractions: Sequence[float],
-                         seeds: Sequence[int],
-                         shards: int = 4) -> List[str]:
-    """Enqueue a serving-replay cross product (policy × budget ×
-    seed at one shard count); idempotent, returns trial ids."""
-    ids = []
-    for trace in traces:
-        for policy in policies:
-            for fraction in size_fractions:
-                for seed in seeds:
-                    spec = ServingTrialSpec(
-                        trace=trace, scale=scale, policy=policy,
-                        size_fraction=fraction, seed=seed,
-                        shards=shards)
-                    trial_id, _ = queue.enqueue(spec.as_dict())
-                    ids.append(trial_id)
+    for values in itertools.product(*(swept[axis] for axis in axes)):
+        spec = kind(**fixed, **dict(zip(axes, values)))
+        trial_id, _ = queue.enqueue(spec.as_dict())
+        ids.append(trial_id)
     return ids
 
 
@@ -618,17 +625,7 @@ def _run_claimed(queue: TrialQueue, store: ResultsStore,
                  git_hash: str,
                  known_keys: Optional[set] = None) -> bool:
     try:
-        # Network and serving trials share the queue/store; the
-        # ``topology`` / ``shards`` keys are the dispatch bits
-        # (classic specs never carry either, so existing stored
-        # config hashes are unaffected).
-        if "topology" in claimed.spec:
-            spec_cls = NetworkTrialSpec
-        elif "shards" in claimed.spec:
-            spec_cls = ServingTrialSpec
-        else:
-            spec_cls = TrialSpec
-        spec = spec_cls.from_dict(claimed.spec)
+        spec = spec_from_dict(claimed.spec)
     except ServiceError as exc:
         # A structurally valid JSON file holding a semantically bad
         # spec: executing it will never work, so burn its attempts.
@@ -651,12 +648,7 @@ def _run_claimed(queue: TrialQueue, store: ResultsStore,
             if fault_injector is not None:
                 fault_injector.on_start(claimed.trial_id,
                                         claimed.attempt)
-            if isinstance(spec, NetworkTrialSpec):
-                payload = execute_network_trial(spec)
-            elif isinstance(spec, ServingTrialSpec):
-                payload = execute_serving_trial(spec)
-            else:
-                payload = execute_trial(spec)
+            payload = spec.execute()
         except Exception as exc:  # noqa: BLE001 - released, not lost
             trial_span.set_status("error")
             queue.release(
@@ -733,9 +725,10 @@ def build_report(store: ResultsStore, alpha: float = 0.05,
                  metric: str = "hit_rate") -> ServiceReport:
     """Repeated-trial statistics, recomputed from the store alone.
 
-    Records are grouped by experimental condition — (trace, scale,
-    size_fraction, git_hash) — and within each condition the per-seed
-    replicas of every policy form one sample.  Each group gets:
+    Records are grouped by experimental condition — the spec minus
+    policy and seed (:meth:`BaseTrialSpec.condition`), plus the git
+    hash — and within each condition the per-seed replicas of every
+    policy form one sample.  Each group gets:
 
     * per-policy n / mean / 95% CI, with ranks that *share* a place
       when the adjacent pairwise difference is not significant at
@@ -751,28 +744,19 @@ def build_report(store: ResultsStore, alpha: float = 0.05,
     groups: Dict[tuple, Dict[str, Dict[int, float]]] = {}
     for key, record in sorted(store.records().items()):
         payload = record["payload"]
-        spec = payload.get("spec") or {}
+        spec = record_spec(payload)
         value = payload.get(metric)
-        if value is None or "policy" not in spec:
+        if value is None or spec is None:
             continue  # foreign record (not written by the service)
-        # Network trials extend the condition with (topology,
-        # strategy) and serving trials with (shards); classic trials
-        # carry None there, so their grouping — and the report over
-        # an existing store — is unchanged.
-        group = (spec.get("trace"), spec.get("scale"),
-                 spec.get("size_fraction"), key.git_hash,
-                 spec.get("topology"), spec.get("strategy"),
-                 spec.get("shards"))
-        samples = groups.setdefault(group, {})
+        samples = groups.setdefault((spec.condition(), key.git_hash), {})
         # keyed by seed: a duplicate append never double-counts
-        samples.setdefault(spec["policy"], {})[key.seed] = value
+        samples.setdefault(spec.policy, {})[key.seed] = value
 
     lines: List[str] = []
     data: dict = {"metric": metric, "alpha": alpha, "groups": []}
-    for group, by_policy in sorted(groups.items(),
-                                   key=lambda item: str(item[0])):
-        (trace, scale, fraction, git_hash, topology, strategy,
-         shards) = group
+    for (condition, git_hash), by_policy in sorted(
+            groups.items(), key=lambda item: str(item[0])):
+        condition = dict(condition)
         samples = {policy: [value for _, value in sorted(seeds.items())]
                    for policy, seeds in by_policy.items()}
         ranking = rank_policies(samples, alpha=alpha)
@@ -780,12 +764,10 @@ def build_report(store: ResultsStore, alpha: float = 0.05,
                                alpha=alpha)
                        for i, a in enumerate(sorted(samples))
                        for b in sorted(samples)[i + 1:]]
-        network = (f" topology={topology} strategy={strategy}"
-                   if topology is not None else "")
-        serving = (f" shards={shards}" if shards is not None else "")
-        lines.append(f"== trace={trace} scale={scale:g} "
-                     f"cache={fraction:.1%}{network}{serving} "
-                     f"git={git_hash} ==")
+        lines.append(f"== trace={condition['trace']} "
+                     f"scale={condition['scale']:g} "
+                     f"cache={condition['size_fraction']:.1%}"
+                     f"{own_fields_label(condition)} git={git_hash} ==")
         lines.append(f"{'rank':>4}  {'policy':<14} {'n':>3} "
                      f"{'mean':>8} {'95% CI':>19}")
         for row in ranking:
@@ -806,18 +788,11 @@ def build_report(store: ResultsStore, alpha: float = 0.05,
                 f"{comparison.magnitude:<10} "
                 f"{str(comparison.significant):<11}")
         lines.append("")
-        entry = {
-            "trace": trace, "scale": scale, "size_fraction": fraction,
-            "git_hash": git_hash,
+        data["groups"].append({
+            **condition, "git_hash": git_hash,
             "ranking": ranking,
             "comparisons": [c.as_dict() for c in comparisons],
-        }
-        if topology is not None:
-            entry["topology"] = topology
-            entry["strategy"] = strategy
-        if shards is not None:
-            entry["shards"] = shards
-        data["groups"].append(entry)
+        })
     if not lines:
         lines.append("(store holds no service records)")
     return ServiceReport(text="\n".join(lines).rstrip(), data=data)
@@ -898,6 +873,8 @@ def run_service(root: PathLike, n_workers: int = 2, *,
 # --------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.experiments.regress import regress_arguments
+
     parser = argparse.ArgumentParser(
         prog="repro-experiments service",
         description="Durable experiment service: a crash-safe results "
@@ -909,32 +886,23 @@ def build_parser() -> argparse.ArgumentParser:
                         help="diagnostic verbosity on stderr")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    enq = sub.add_parser("enqueue",
-                         help="add a (trace x policy x size x seed) "
-                              "grid of trials; idempotent")
-    enq.add_argument("--traces", nargs="+", default=["dfn"],
-                     choices=list(TRACE_PROFILES))
-    enq.add_argument("--scale", choices=list(SCALES), default="tiny")
-    enq.add_argument("--policies", nargs="+",
-                     default=["lru", "gds(1)", "gd*(1)"])
-    enq.add_argument("--size-fractions", nargs="+", type=float,
-                     default=[0.01])
-    enq.add_argument("--seeds", nargs="+", type=int,
-                     default=[42, 1042, 2042])
-
-    esv = sub.add_parser("enqueue-serving",
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--traces", nargs="+", default=["dfn"],
+                      choices=list(TRACE_PROFILES))
+    grid.add_argument("--scale", choices=list(SCALES), default="tiny")
+    grid.add_argument("--policies", nargs="+",
+                      default=["lru", "gds(1)", "gd*(1)"])
+    grid.add_argument("--size-fractions", nargs="+", type=float,
+                      default=[0.01])
+    grid.add_argument("--seeds", nargs="+", type=int,
+                      default=[42, 1042, 2042])
+    sub.add_parser("enqueue", parents=[grid],
+                   help="add a (trace x policy x size x seed) grid of "
+                        "trials; idempotent")
+    esv = sub.add_parser("enqueue-serving", parents=[grid],
                          help="add a serving-replay (trace x policy "
                               "x size x seed) grid at one shard "
                               "count; idempotent")
-    esv.add_argument("--traces", nargs="+", default=["dfn"],
-                     choices=list(TRACE_PROFILES))
-    esv.add_argument("--scale", choices=list(SCALES), default="tiny")
-    esv.add_argument("--policies", nargs="+",
-                     default=["lru", "gds(1)", "gd*(1)"])
-    esv.add_argument("--size-fractions", nargs="+", type=float,
-                     default=[0.01])
-    esv.add_argument("--seeds", nargs="+", type=int,
-                     default=[42, 1042, 2042])
     esv.add_argument("--shards", type=int, default=4,
                      help="consistent-hash shard count (default: 4)")
 
@@ -986,21 +954,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "(per-type hit-rate panels, CI whiskers, "
                           "span waterfall when telemetry exists)")
 
-    rgr = sub.add_parser("regress",
-                         help="statistically-gated cross-revision "
-                              "regression verdicts from the store")
-    rgr.add_argument("--baseline", default=None,
-                     help="baseline git hash (inferred when the "
-                          "store holds exactly two)")
-    rgr.add_argument("--candidate", default=None,
-                     help="candidate git hash (default: current "
-                          "checkout's revision)")
-    rgr.add_argument("--alpha", type=float, default=0.05)
-    rgr.add_argument("--json", action="store_true",
-                     help="machine-readable output")
-    rgr.add_argument("--fail-on-regression", action="store_true",
-                     help="exit 1 when anything is labelled "
-                          "'regressed'")
+    sub.add_parser("regress", parents=[regress_arguments()],
+                   help="statistically-gated cross-revision "
+                        "regression verdicts from the store")
 
     sub.add_parser("compact",
                    help="merge store segments into one sorted, "
@@ -1024,24 +980,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     configure_logs(level=args.log_level)
     root = Path(args.root)
 
-    if args.verb == "enqueue":
+    if args.verb in ("enqueue", "enqueue-serving"):
         queue, _ = open_service(root)
+        own = ({"shards": args.shards}
+               if args.verb == "enqueue-serving" else {})
         ids = enqueue_grid(
             queue, traces=args.traces, scale=SCALES[args.scale],
             policies=args.policies,
-            size_fractions=args.size_fractions, seeds=args.seeds)
-        print(f"enqueued {len(ids)} trial(s); "
-              f"{queue.status().pending} pending")
-        return 0
-
-    if args.verb == "enqueue-serving":
-        queue, _ = open_service(root)
-        ids = enqueue_serving_grid(
-            queue, traces=args.traces, scale=SCALES[args.scale],
-            policies=args.policies,
-            size_fractions=args.size_fractions, seeds=args.seeds,
-            shards=args.shards)
-        print(f"enqueued {len(ids)} serving trial(s); "
+            size_fractions=args.size_fractions, seeds=args.seeds, **own)
+        noun = "serving trial(s)" if own else "trial(s)"
+        print(f"enqueued {len(ids)} {noun}; "
               f"{queue.status().pending} pending")
         return 0
 
@@ -1115,21 +1063,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.verb == "regress":
-        from repro.experiments.regress import detect_regressions
+        from repro.experiments.regress import run_regress
         _, store = open_service(root)
-        try:
-            regression = detect_regressions(
-                store, baseline=args.baseline,
-                candidate=args.candidate, alpha=args.alpha)
-        except ServiceError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.json:
-            print(canonical_json(regression.as_dict()))
-        else:
-            print(regression.render())
-        return 1 if args.fail_on_regression \
-            and regression.regressions else 0
+        return run_regress(store, args)
 
     if args.verb == "compact":
         _, store = open_service(root)

@@ -429,15 +429,14 @@ def _run_validate(args) -> int:
 
 def _run_enqueue(args) -> int:
     from repro.experiments.config import SCALES
-    from repro.experiments.service import (enqueue_network_grid,
-                                           open_service)
+    from repro.experiments.service import enqueue_grid, open_service
 
     if args.scale not in SCALES:
         raise ConfigurationError(
             f"unknown scale {args.scale!r}; known: "
             + ", ".join(SCALES))
     queue, _ = open_service(args.root)
-    ids = enqueue_network_grid(
+    ids = enqueue_grid(
         queue, traces=args.traces, scale=SCALES[args.scale],
         topologies=args.topologies, strategies=args.strategies,
         policies=args.policies, size_fractions=args.size_fractions,

@@ -8,7 +8,6 @@ from repro.experiments.service import (
     TrialSpec,
     build_report,
     enqueue_grid,
-    enqueue_network_grid,
     execute_network_trial,
     open_service,
     work,
@@ -90,14 +89,14 @@ class TestServiceRoundTrip:
     def test_enqueue_work_report(self, tmp_path):
         root = tmp_path / "svc"
         queue, store = open_service(root)
-        ids = enqueue_network_grid(
+        ids = enqueue_grid(
             queue, traces=["dfn"], scale=TINY,
             topologies=["two-level", "mesh"], strategies=["lce"],
             policies=["lru"], size_fractions=[0.01], seeds=[42],
             n=3)
         assert len(ids) == 2
         # Enqueueing the same grid again is a no-op.
-        assert enqueue_network_grid(
+        assert enqueue_grid(
             queue, traces=["dfn"], scale=TINY,
             topologies=["two-level", "mesh"], strategies=["lce"],
             policies=["lru"], size_fractions=[0.01], seeds=[42],
