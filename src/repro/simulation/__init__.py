@@ -17,9 +17,9 @@ grid, the shape of every performance figure in the paper.
 
 The :mod:`~repro.simulation.engine` module underneath splits the
 simulator into once-per-pass trace work and per-configuration cache
-cells, so :func:`~repro.simulation.engine.run_cells` (and the
-``engine="batched"`` mode of the sweep entry points) runs a whole grid
-over one trace pass with bit-identical results.
+cells, so :func:`~repro.simulation.engine.run_cells` (and through it
+both sweep entry points) runs a whole grid over one trace pass with
+results bit-identical to one :class:`CacheSimulator` per cell.
 """
 
 from repro.simulation.engine import CacheCell, run_cells

@@ -6,14 +6,11 @@ nothing but the read-only trace, so a process pool gives near-linear
 speedup.  The trace is shipped to each worker once (pool initializer),
 not once per cell.
 
-The unit of scheduling is a **batch** of cells.  With
-``engine="percell"`` every batch holds one cell — the classic layout,
-one trace pass per cell.  With ``engine="batched"`` the grid is
+The unit of scheduling is a **batch** of cells.  The grid is
 partitioned into ``cells_per_pass``-sized batches and each worker runs
 its whole batch over **one** shared trace pass via
 :func:`repro.simulation.engine.run_cells`, so a worker pays the trace
-tax once per batch instead of once per cell.  Either way the results
-are bit-identical.
+tax once per batch instead of once per cell.
 
 Because every cell is a pure function of its config and the trace, a
 failed batch can simply be rerun: the scheduler submits batches as
@@ -23,8 +20,10 @@ deterministic backoff, and rebuilds the pool when a dead worker breaks
 it — resubmitting only the unfinished batches.  Telemetry events,
 checkpoints, and ``failure_policy="partial"``
 :class:`~repro.simulation.results.FailureRecord`\\ s all stay
-**per cell** regardless of batching, so a resumed or partially failed
-grid has the same cell-by-cell lifecycle either way.
+**per cell** regardless of batching: a batch that fails for good is
+split into singleton batches, so only the cell at fault is lost.  One
+worker with nothing to time out or inject runs its batches in this
+process, through the same scheduler.
 
 Results are bit-identical to :func:`repro.simulation.sweep.run_sweep`
 — every policy is deterministic, and retries rerun the identical
@@ -38,7 +37,13 @@ import os
 import re
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -63,12 +68,8 @@ from repro.simulation.results import (
     SimulationResult,
     SweepResult,
 )
-from repro.simulation.simulator import (
-    CacheSimulator,
-    SimulationConfig,
-    SizeInterpretation,
-)
-from repro.types import Request, Trace
+from repro.simulation.simulator import SimulationConfig, SizeInterpretation
+from repro.types import Trace
 
 #: How long the scheduler sleeps in ``wait()`` before re-checking
 #: deadlines; kept short so cell timeouts are detected promptly.
@@ -77,15 +78,11 @@ _POLL_SECONDS = 0.1
 #: Accepted values for ``failure_policy``.
 FAILURE_POLICIES = ("raise", "partial")
 
-#: Accepted values for ``engine``.
-ENGINES = ("percell", "batched")
-
 # Per-worker state, populated by the pool initializer.  The trace is
 # either a materialized Trace (request list shipped by pickle) or a
 # ColumnarTrace each worker mmaps itself from a shipped path string —
 # the kernel page cache then backs every worker with one copy.
 _worker_trace = None
-_worker_materialized: Optional[Trace] = None
 _worker_injector: Optional[FaultInjector] = None
 
 _logger = get_logger("simulation.parallel")
@@ -98,26 +95,19 @@ def cell_key(policy_name: str, capacity: int) -> str:
 
 def batch_key(cells: Sequence[Tuple[str, int]]) -> str:
     """Stable identity of one scheduled batch; equals the cell key for
-    the singleton batches the per-cell engine produces."""
+    a singleton batch."""
     if len(cells) == 1:
         return cell_key(*cells[0])
     return (f"pass[{cell_key(*cells[0])}.."
             f"{cell_key(*cells[-1])}#{len(cells)}]")
 
 
-def partition_cells(cells: Sequence[Tuple[str, int]], engine: str,
-                    n_workers: int,
+def partition_cells(cells: Sequence[Tuple[str, int]], n_workers: int,
                     cells_per_pass: Optional[int] = None,
                     ) -> List[Tuple[Tuple[str, int], ...]]:
-    """Split the grid into scheduling batches.
-
-    ``percell`` yields singleton batches (one trace pass per cell);
-    ``batched`` yields contiguous chunks of ``cells_per_pass`` cells,
-    defaulting to an even split across the workers so one round of
-    passes covers the grid.
-    """
-    if engine == "percell":
-        return [(cell,) for cell in cells]
+    """Split the grid into contiguous batches of ``cells_per_pass``
+    cells, defaulting to an even split across the workers so one round
+    of passes covers the grid."""
     if cells_per_pass is None:
         cells_per_pass = max(1, math.ceil(len(cells) / n_workers))
     return [tuple(cells[i:i + cells_per_pass])
@@ -141,7 +131,7 @@ def _init_worker(trace_source, name: str,
     or a path string to a columnar trace, which the worker mmaps
     itself — no per-worker decode, no per-worker copy.
     """
-    global _worker_trace, _worker_materialized, _worker_injector
+    global _worker_trace, _worker_injector
     if isinstance(trace_source, (str, Path)):
         from repro.trace.columnar import open_columnar
 
@@ -149,7 +139,6 @@ def _init_worker(trace_source, name: str,
         _worker_trace.name = name
     else:
         _worker_trace = Trace(trace_source, name=name)
-    _worker_materialized = None
     _worker_injector = injector
     # Fork-started workers inherit the parent's process-wide event
     # sink, including its open events.jsonl handle and a stale copy of
@@ -160,26 +149,14 @@ def _init_worker(trace_source, name: str,
     _events.set_event_sink(None)
 
 
-def _run_cell(cell: Tuple[str, int, float, str, int]) -> dict:
-    policy_name, capacity, warmup_fraction, interpretation, attempt = \
-        cell[:5]
-    profile_path = cell[5] if len(cell) > 5 else None
-    return _run_batch((((policy_name, capacity),), warmup_fraction,
-                       interpretation, attempt, profile_path,
-                       "percell"))[0]
-
-
 def _run_batch(batch: tuple) -> List[dict]:
     """Run one batch of cells in a worker; one payload per cell.
 
     ``batch`` is ``(cells, warmup_fraction, interpretation, attempt,
-    profile_path, engine)`` with ``cells`` a tuple of
-    ``(policy_name, capacity)`` pairs.  The batched engine runs the
-    whole batch over one shared trace pass; per-cell the batch is a
-    singleton and replays the classic simulator loop.
+    profile_path)`` with ``cells`` a tuple of ``(policy_name,
+    capacity)`` pairs; the whole batch runs over one shared trace pass.
     """
-    cells, warmup_fraction, interpretation, attempt, profile_path, \
-        engine = batch
+    cells, warmup_fraction, interpretation, attempt, profile_path = batch
     keys = [cell_key(policy_name, capacity)
             for policy_name, capacity in cells]
     if _worker_injector is not None:
@@ -200,11 +177,7 @@ def _run_batch(batch: tuple) -> List[dict]:
         for policy_name, capacity in cells
     ]
     with maybe_profile(profile_path):
-        if engine == "batched":
-            results = run_cells(_worker_trace, configs)
-        else:
-            results = [CacheSimulator(config).run(_percell_trace())
-                       for config in configs]
+        results = run_cells(_worker_trace, configs)
     payloads = [result.as_dict() for result in results]
     if _worker_injector is not None:
         payloads = [_worker_injector.on_result(key, attempt, payload)
@@ -212,26 +185,9 @@ def _run_batch(batch: tuple) -> List[dict]:
     return payloads
 
 
-def _percell_trace() -> Trace:
-    """The worker trace as Request objects, decoded at most once.
-
-    The classic per-cell loop wants a materialized Trace; a columnar
-    worker trace is decoded on first use and cached for every later
-    cell this process runs.
-    """
-    global _worker_materialized
-    if isinstance(_worker_trace, Trace):
-        return _worker_trace
-    if _worker_materialized is None:
-        _worker_materialized = Trace(_worker_trace.iter_requests(),
-                                     name=_worker_trace.name)
-    return _worker_materialized
-
-
 def _reset_worker() -> None:
-    global _worker_trace, _worker_materialized, _worker_injector
+    global _worker_trace, _worker_injector
     _worker_trace = None
-    _worker_materialized = None
     _worker_injector = None
 
 
@@ -255,6 +211,32 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
         if process.is_alive():
             process.terminate()
     pool.shutdown(wait=True, cancel_futures=True)
+
+
+class _InlinePool(Executor):
+    """A one-worker stand-in for the process pool that runs each batch
+    in this process as it is submitted.
+
+    Used when there is one worker and nothing to time out or inject
+    into: the sweep skips process start-up but keeps the scheduler's
+    retry and failure handling.
+    """
+
+    def __init__(self, max_workers, initializer, initargs):
+        self._sink = _events.event_sink()
+        initializer(*initargs)
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        _reset_worker()
+        _events.set_event_sink(self._sink)
 
 
 class _BatchRun:
@@ -286,7 +268,6 @@ def run_sweep_parallel(trace,
                        SizeInterpretation.TRUSTED,
                        n_workers: Optional[int] = None,
                        *,
-                       engine: str = "percell",
                        cells_per_pass: Optional[int] = None,
                        max_retries: int = 2,
                        cell_timeout: Optional[float] = None,
@@ -307,21 +288,16 @@ def run_sweep_parallel(trace,
     :class:`~repro.trace.columnar.ColumnarTrace`, or a columnar file
     path: columnar sweeps ship only the *path* to workers, which mmap
     the file themselves — one kernel page-cache copy serves the whole
-    pool, and each worker decodes at most once (batched passes consume
-    the columns directly and never decode at all).
+    pool, and the passes consume the columns directly without decoding.
 
     Keyword-only knobs:
 
     Args:
-        engine: ``"percell"`` ships one cell per task (the classic
-            layout); ``"batched"`` ships batches of cells that each
-            ride **one** shared trace pass in their worker
-            (:func:`repro.simulation.engine.run_cells`).  Results are
-            bit-identical; telemetry events, checkpoints, and failure
-            records stay per cell either way.
-        cells_per_pass: Batch size for the batched engine; defaults to
-            an even split of the grid across the workers.  Ignored for
-            per-cell.
+        cells_per_pass: Cells per batch, each batch riding **one**
+            shared trace pass in its worker
+            (:func:`repro.simulation.engine.run_cells`); defaults to
+            an even split of the grid across the workers.  Telemetry
+            events, checkpoints, and failure records stay per cell.
         max_retries: Reruns allowed per batch for *transient* failures
             (worker crash, timeout, corrupt payload).  Deterministic
             errors from the cells themselves are never retried.
@@ -332,7 +308,9 @@ def run_sweep_parallel(trace,
         failure_policy: ``"raise"`` (default) re-raises the first
             permanently failed cell; ``"partial"`` returns whatever
             completed, with a :class:`FailureRecord` per lost cell on
-            ``SweepResult.failures``.
+            ``SweepResult.failures``.  A batch that fails for good is
+            rerun one cell per batch first, so a healthy cell is never
+            lost with a failing batch-mate.
         retry_policy: Full backoff schedule; defaults to
             ``RetryPolicy(max_retries=max_retries, base_delay=0)``
             (immediate resubmission — cells are CPU-bound and
@@ -380,9 +358,6 @@ def run_sweep_parallel(trace,
     ]
     if not cells:
         raise ConfigurationError("empty sweep grid")
-    if engine not in ENGINES:
-        raise ConfigurationError(
-            f"engine must be one of {ENGINES}, got {engine!r}")
     if cells_per_pass is not None and cells_per_pass <= 0:
         raise ConfigurationError("cells_per_pass must be positive")
     if failure_policy not in FAILURE_POLICIES:
@@ -411,7 +386,6 @@ def run_sweep_parallel(trace,
                 "warmup_fraction": warmup_fraction,
                 "size_interpretation": size_interpretation.value,
                 "n_workers": n_workers,
-                "engine": engine,
                 "cells_per_pass": cells_per_pass,
                 "max_retries": max_retries,
                 "cell_timeout": cell_timeout,
@@ -422,7 +396,7 @@ def run_sweep_parallel(trace,
     emit = events.emit if events is not None else _events.emit
 
     sweep_span = _span("sweep", trace=trace.name, cells=len(cells),
-                       workers=n_workers, engine=engine)
+                       workers=n_workers)
 
     def _finish() -> SweepResult:
         sweep_span.set_attribute("failures", len(sweep.failures))
@@ -468,48 +442,16 @@ def run_sweep_parallel(trace,
                 checkpoint_store.save(cell_key(policy_name, capacity),
                                       payload, sweep_digest)
 
-        batches = partition_cells(cells, engine, n_workers,
-                                  cells_per_pass)
-
-        if (n_workers == 1 and cell_timeout is None
-                and fault_injector is None):
-            # No pool overhead for the degenerate case (and nothing to
-            # time out or inject into).
-            _init_worker(columnar_path if columnar_path is not None
-                         else trace.requests, trace.name)
-            try:
-                for batch_cells in batches:
-                    keys = [cell_key(policy_name, capacity)
-                            for policy_name, capacity in batch_cells]
-                    for key in keys:
-                        emit("cell_scheduled", key=key, attempt=1)
-                    started = time.monotonic()
-                    payloads = _run_batch(
-                        (batch_cells, warmup_fraction,
-                         size_interpretation.value, 1,
-                         _profile_path(profile_dir,
-                                       batch_key(batch_cells), 1),
-                         engine))
-                    elapsed = time.monotonic() - started
-                    for (policy_name, capacity), key, payload in zip(
-                            batch_cells, keys, payloads):
-                        result = SimulationResult.from_dict(payload)
-                        result.duration_seconds = elapsed
-                        result.attempts = 1
-                        sweep.add(result)
-                        _checkpoint_cell(policy_name, capacity, payload)
-                        emit("cell_finished", key=key, attempt=1,
-                             duration_seconds=round(elapsed, 6))
-            finally:
-                _reset_worker()
-            return _finish()
-
+        batches = partition_cells(cells, n_workers, cells_per_pass)
         _Scheduler(
             trace_source=(columnar_path if columnar_path is not None
                           else trace.requests),
             trace_name=trace.name,
             batches=batches,
-            engine=engine,
+            # No pool for the degenerate case (and nothing to time out
+            # or inject into).
+            inline=(n_workers == 1 and cell_timeout is None
+                    and fault_injector is None),
             warmup_fraction=warmup_fraction,
             size_interpretation=size_interpretation,
             n_workers=max(min(n_workers, len(batches)), 1),
@@ -593,18 +535,18 @@ class _Scheduler:
     rebuilds the pool when workers die or hang.
 
     Scheduling is per batch; events, checkpoints, and failure records
-    are per cell.  A per-cell sweep has singleton batches, so its
-    behavior is unchanged from the pre-batching scheduler.
+    are per cell.  With ``inline`` the batches run in this process
+    (:class:`_InlinePool`) under the same outcome handling.
     """
 
-    def __init__(self, trace_source, trace_name, batches, engine,
+    def __init__(self, trace_source, trace_name, batches, inline,
                  warmup_fraction, size_interpretation, n_workers,
                  retry_policy, cell_timeout, failure_policy,
                  fault_injector, on_cell_done, emit, profile_dir,
                  sleep):
         self.trace_source = trace_source
         self.trace_name = trace_name
-        self.engine = engine
+        self.inline = inline
         self.warmup_fraction = warmup_fraction
         self.size_interpretation = size_interpretation
         self.n_workers = n_workers
@@ -634,8 +576,9 @@ class _Scheduler:
 
     # -- pool lifecycle ---------------------------------------------------
 
-    def _new_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
+    def _new_pool(self) -> Executor:
+        factory = _InlinePool if self.inline else ProcessPoolExecutor
+        return factory(
             max_workers=self.n_workers,
             initializer=_init_worker,
             initargs=(self.trace_source, self.trace_name,
@@ -685,8 +628,10 @@ class _Scheduler:
 
         ``isolate`` requeues the retry into the isolation queue so a
         known crasher keeps running alone instead of taking fresh
-        neighbours down with it.  Permanent failures are recorded per
-        cell, so a lost batch degrades exactly like the same cells
+        neighbours down with it.  Under ``failure_policy="partial"``
+        a multi-cell batch that fails for good is split into singleton
+        batches at the same attempt, so only the cell at fault is
+        recorded; a lost batch degrades exactly like the same cells
         failing individually.
         """
         transient = isinstance(exc, (WorkerCrashError, CellTimeoutError,
@@ -705,6 +650,15 @@ class _Scheduler:
             self.sleep(delay)
             target = self.isolation if isolate else self.queue
             target.append((run.cells, run.attempt + 1))
+            return
+        if len(run.cells) > 1 and self.failure_policy == "partial":
+            _logger.warning(
+                "batch %s failed (%s); rerunning its cells one by one",
+                run.key, type(exc).__name__,
+                extra={"key": run.key, "attempt": run.attempt,
+                       "error_type": type(exc).__name__})
+            target = self.isolation if isolate else self.queue
+            target.extend(((cell,), run.attempt) for cell in run.cells)
             return
         for key in run.cell_keys:
             self.emit("cell_failed", key=key, attempts=run.attempt,
@@ -757,28 +711,36 @@ class _Scheduler:
             # retrying would fail identically.
             self._retry_or_fail(run, exc)
             return False
-        try:
-            if (not isinstance(payloads, (list, tuple))
-                    or len(payloads) != len(run.cells)):
-                raise WorkerCrashError(
-                    f"worker returned corrupt batch payload for "
-                    f"{run.key!r}: expected {len(run.cells)} cell "
-                    f"payload(s), got {type(payloads).__name__}")
-            results = [_deserialize(payload, key)
-                       for key, payload in zip(run.cell_keys, payloads)]
-        except WorkerCrashError as exc:
-            self._retry_or_fail(run, exc)
-        else:
-            batch_elapsed = self.elapsed.get(run.key, 0.0)
-            for (policy, capacity), key, result, payload in zip(
-                    run.cells, run.cell_keys, results, payloads):
-                result.duration_seconds = batch_elapsed
-                result.attempts = run.attempt
-                sweep.add(result)
-                self.on_cell_done(policy, capacity, payload)
-                self.emit("cell_finished", key=key,
-                          attempt=run.attempt,
-                          duration_seconds=round(batch_elapsed, 6))
+        if (not isinstance(payloads, (list, tuple))
+                or len(payloads) != len(run.cells)):
+            self._retry_or_fail(run, WorkerCrashError(
+                f"worker returned corrupt batch payload for "
+                f"{run.key!r}: expected {len(run.cells)} cell "
+                f"payload(s), got {type(payloads).__name__}"))
+            return False
+        batch_elapsed = self.elapsed.get(run.key, 0.0)
+        corrupt: List[Tuple[str, int]] = []
+        error: Optional[WorkerCrashError] = None
+        for (policy, capacity), key, payload in zip(
+                run.cells, run.cell_keys, payloads):
+            try:
+                result = _deserialize(payload, key)
+            except WorkerCrashError as exc:
+                corrupt.append((policy, capacity))
+                error = exc
+                continue
+            result.duration_seconds = batch_elapsed
+            result.attempts = run.attempt
+            sweep.add(result)
+            self.on_cell_done(policy, capacity, payload)
+            self.emit("cell_finished", key=key, attempt=run.attempt,
+                      duration_seconds=round(batch_elapsed, 6))
+        if corrupt:
+            # Only the cells whose payloads were unreadable rerun.
+            retry = _BatchRun(tuple(corrupt), run.attempt, run.started)
+            if retry.key != run.key:
+                self._charge_elapsed(retry)
+            self._retry_or_fail(retry, error)
         return False
 
     def _batch_timeout(self, run: _BatchRun) -> float:
@@ -838,13 +800,15 @@ class _Scheduler:
             else:
                 return
             key = batch_key(cells)
+            # Stamped before submit: an inline pool runs the batch
+            # inside the call.
+            started = time.monotonic()
             try:
                 future = self.pool.submit(
                     _run_batch,
                     (cells, self.warmup_fraction,
                      self.size_interpretation.value, attempt,
-                     _profile_path(self.profile_dir, key, attempt),
-                     self.engine))
+                     _profile_path(self.profile_dir, key, attempt)))
             except BrokenProcessPool:
                 # Worker died between polls; nothing was submitted, so
                 # no attempt is charged.
@@ -857,7 +821,7 @@ class _Scheduler:
                 self.emit("cell_scheduled",
                           key=cell_key(policy, capacity),
                           attempt=attempt)
-            run = _BatchRun(cells, attempt, time.monotonic())
+            run = _BatchRun(cells, attempt, started)
             self.in_flight[future] = run
             if isolate:
                 self.isolated = run

@@ -6,30 +6,24 @@ The paper plots hit rate and byte hit rate "for increasing cache sizes
 capacities for a given trace; :func:`run_sweep` runs the full grid,
 constructing a fresh policy and cache per cell.
 
-Two execution engines produce bit-identical grids:
-
-* ``percell`` — the classic loop: every (policy, capacity) cell gets
-  its own :class:`~repro.simulation.simulator.CacheSimulator` and its
-  own full trace pass.
-* ``batched`` — all cells ride **one** shared trace pass through
-  :func:`repro.simulation.engine.run_cells`, so trace iteration and
-  size resolution are paid once for the whole grid (and eligible LRU
-  cells collapse into a single stack-distance ladder).
+Every cell rides **one** shared trace pass through
+:func:`repro.simulation.engine.run_cells`, so trace decoding and size
+resolution are paid once for the whole grid (and eligible LRU cells
+collapse into a single stack-distance ladder).  The results are
+bit-identical to running each cell through its own
+:class:`~repro.simulation.simulator.CacheSimulator`, which the tests
+keep as the per-request reference.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError
 from repro.simulation.engine import run_cells
 from repro.simulation.results import SweepResult
-from repro.simulation.simulator import (
-    CacheSimulator,
-    SimulationConfig,
-    SizeInterpretation,
-)
+from repro.simulation.simulator import SimulationConfig, SizeInterpretation
 from repro.types import Trace
 
 #: The paper's cache-size ladder, as fractions of overall trace size.
@@ -58,165 +52,58 @@ def run_sweep(trace: Union[Trace, str, Path],
               size_interpretation: SizeInterpretation =
               SizeInterpretation.TRUSTED,
               occupancy_interval: int = 0,
-              progress: Optional[Callable[[str, int], None]] = None,
-              policy_kwargs: Optional[dict] = None,
-              engine: str = "percell") -> SweepResult:
-    """Run every (policy, capacity) cell over the trace.
+              policy_kwargs: Optional[dict] = None) -> SweepResult:
+    """Run every (policy, capacity) cell over the trace in one pass.
 
     Args:
-        trace: The driving workload — a :class:`~repro.types.Trace`,
-            or a trace *file path* (any format
-            :func:`repro.trace.reader.open_trace` handles), swept with
-            bounded memory: the percell engine re-decodes the file
-            once per cell, the batched engine decodes it once for the
-            whole grid.
+        trace: The driving workload — a :class:`~repro.types.Trace`, a
+            :class:`~repro.trace.columnar.ColumnarTrace`, or a trace
+            *file path* (any format
+            :func:`repro.trace.reader.open_trace` handles).  Files are
+            decoded once for the whole grid with bounded memory:
+            columnar files are mmap'd, text files are streamed.
         policies: Policy names (see :mod:`repro.core.registry`).
         capacities: Cache capacities in bytes.
         warmup_fraction: Warm-up share per run (paper: 0.10).
         size_interpretation: Modification handling mode.
         occupancy_interval: Per-type occupancy sampling cadence
             (0 = off); only meaningful for adaptability studies.
-        progress: Optional callback invoked with (policy, capacity)
-            before each cell, for long sweeps.  With the batched
-            engine all callbacks fire up front, before the single
-            shared pass starts.
         policy_kwargs: Extra arguments forwarded to
             :func:`~repro.core.registry.make_policy` (e.g. fixed_beta).
-        engine: ``"percell"`` (one trace pass per cell) or
-            ``"batched"`` (one shared pass for the whole grid); the
-            grids are bit-identical.
 
     Returns a :class:`~repro.simulation.results.SweepResult` whose grid
     is keyed by policy name and capacity.
     """
     from repro.core.registry import make_policy
 
-    if engine not in ("percell", "batched"):
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; expected 'percell' or 'batched'")
-    if isinstance(trace, (str, Path)):
-        return _run_sweep_from_file(
-            Path(trace), policies, capacities, warmup_fraction,
-            size_interpretation, occupancy_interval, progress,
-            policy_kwargs, engine)
-    if getattr(trace, "is_columnar", False) and engine == "percell":
-        # The batched engine consumes the columns directly; the percell
-        # loop wants Request objects, so decode the mmap exactly once
-        # for the whole grid instead of once per cell.
-        trace = Trace(trace.iter_requests(), name=trace.name)
-    sweep = SweepResult(trace_name=trace.name)
     kwargs = policy_kwargs or {}
-    if engine == "batched":
-        configs = []
-        for policy_name in policies:
-            for capacity in capacities:
-                if progress is not None:
-                    progress(policy_name, capacity)
-                configs.append(SimulationConfig(
-                    capacity_bytes=capacity,
-                    policy=make_policy(policy_name, **kwargs),
-                    warmup_fraction=warmup_fraction,
-                    size_interpretation=size_interpretation,
-                    occupancy_interval=occupancy_interval,
-                ))
-        for result in run_cells(trace, configs, trace_name=trace.name):
-            sweep.add(result)
-        return sweep
-    for policy_name in policies:
-        for capacity in capacities:
-            if progress is not None:
-                progress(policy_name, capacity)
-            policy = make_policy(policy_name, **kwargs)
-            config = SimulationConfig(
-                capacity_bytes=capacity,
-                policy=policy,
-                warmup_fraction=warmup_fraction,
-                size_interpretation=size_interpretation,
-                occupancy_interval=occupancy_interval,
-            )
-            result = CacheSimulator(config).run(trace)
-            sweep.add(result)
-    return sweep
-
-
-def _run_sweep_from_file(path: Path, policies, capacities,
-                         warmup_fraction, size_interpretation,
-                         occupancy_interval, progress, policy_kwargs,
-                         engine: str) -> SweepResult:
-    """Sweep a trace *file* with bounded memory.
-
-    This is where the two engines differ most: streaming means the
-    trace is never materialized, so the percell engine has no choice
-    but to re-decode (and, for raw logs, re-preprocess) the file for
-    every cell — the ``O(cells × requests)`` trace tax — while the
-    batched engine decodes once and drives every cell from the same
-    chunk stream.
-    """
-    from repro.core.registry import make_policy
-    from repro.trace.columnar import is_columnar_file, open_columnar
-    from repro.trace.pipeline import count_requests, iter_trace
-
-    name = path.stem
-    total = count_requests(path)
-    sweep = SweepResult(trace_name=name)
-    kwargs = policy_kwargs or {}
-
-    def make_config(policy_name, capacity):
-        return SimulationConfig(
+    configs = [
+        SimulationConfig(
             capacity_bytes=capacity,
             policy=make_policy(policy_name, **kwargs),
             warmup_fraction=warmup_fraction,
             size_interpretation=size_interpretation,
             occupancy_interval=occupancy_interval,
         )
+        for policy_name in policies
+        for capacity in capacities
+    ]
+    if isinstance(trace, (str, Path)):
+        from repro.trace.columnar import is_columnar_file, open_columnar
+        from repro.trace.pipeline import count_requests, iter_trace
 
-    if is_columnar_file(path):
-        # Columnar files skip text decoding entirely: the batched
-        # engine consumes the mmap'd columns, the percell engine
-        # decodes Request objects exactly once for the whole grid.
-        with open_columnar(path) as columnar:
-            if engine == "batched":
-                configs = []
-                for policy_name in policies:
-                    for capacity in capacities:
-                        if progress is not None:
-                            progress(policy_name, capacity)
-                        configs.append(make_config(policy_name, capacity))
-                for result in run_cells(columnar, configs,
-                                        trace_name=name):
-                    sweep.add(result)
-                return sweep
-            requests = list(columnar.iter_requests())
-        warmup = int(total * warmup_fraction)
-        for policy_name in policies:
-            for capacity in capacities:
-                if progress is not None:
-                    progress(policy_name, capacity)
-                simulator = CacheSimulator(
-                    make_config(policy_name, capacity))
-                sweep.add(simulator.run_stream(
-                    iter(requests), warmup_requests=warmup,
-                    trace_name=name))
-        return sweep
-
-    if engine == "batched":
-        configs = []
-        for policy_name in policies:
-            for capacity in capacities:
-                if progress is not None:
-                    progress(policy_name, capacity)
-                configs.append(make_config(policy_name, capacity))
-        for result in run_cells(iter_trace(path), configs,
-                                trace_name=name, total_requests=total):
-            sweep.add(result)
-        return sweep
-    warmup = int(total * warmup_fraction)
-    for policy_name in policies:
-        for capacity in capacities:
-            if progress is not None:
-                progress(policy_name, capacity)
-            simulator = CacheSimulator(make_config(policy_name, capacity))
-            sweep.add(simulator.run_stream(
-                iter_trace(path), warmup_requests=warmup,
-                trace_name=name))
+        path = Path(trace)
+        name = path.stem
+        if is_columnar_file(path):
+            with open_columnar(path) as columnar:
+                results = run_cells(columnar, configs, trace_name=name)
+        else:
+            results = run_cells(iter_trace(path), configs, trace_name=name,
+                                total_requests=count_requests(path))
+    else:
+        name = trace.name
+        results = run_cells(trace, configs, trace_name=name)
+    sweep = SweepResult(trace_name=name)
+    for result in results:
+        sweep.add(result)
     return sweep

@@ -192,7 +192,6 @@ class TestCli:
                             fake_run_suite)
         assert main(["table1", "--quiet", "--sweep-workers", "2",
                      "--cell-timeout", "30", "--max-retries", "3"]) == 0
-        assert captured["extra"] == {"engine": "percell",
-                                     "sweep_workers": 2,
+        assert captured["extra"] == {"sweep_workers": 2,
                                      "max_retries": 3,
                                      "cell_timeout": 30.0}

@@ -6,7 +6,8 @@ whole grid of (policy, capacity) cells run over one trace pass produces
 :class:`CacheSimulator` once per cell.  These tests pin that contract
 across every registered policy, every size interpretation, warmup
 fractions, modification-heavy traces, the LRU fast-path ladder (and
-its eligibility edges), and both sweep entry points.
+its eligibility edges), and both sweep entry points, whose grids are
+compared against a per-cell simulator loop over the same source.
 """
 
 import random
@@ -15,10 +16,11 @@ import pytest
 
 from repro.core.cache import Cache
 from repro.core.registry import POLICY_NAMES, make_policy
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.observability.events import read_events, set_event_sink
 from repro.simulation.engine import run_cells
 from repro.simulation.parallel import cell_key, run_sweep_parallel
+from repro.simulation.results import SweepResult
 from repro.simulation.simulator import (
     CacheSimulator,
     SimulationConfig,
@@ -60,6 +62,39 @@ def mixed_trace(n=600, seed=7, modify_every=0):
 
 def classic(trace, config):
     return CacheSimulator(config).run(trace, trace_name=trace.name)
+
+
+def reference_sweep(source, policies, capacities, warmup_fraction=0.10):
+    """The per-cell reference grid: one :class:`CacheSimulator` and one
+    full pass per (policy, capacity) cell over ``source`` — a
+    :class:`Trace`, a ``ColumnarTrace`` (decoded to requests), or a
+    trace file (CSV or ``.rcol``), streamed once per cell."""
+    from pathlib import Path
+
+    from repro.trace.pipeline import count_requests, iter_trace
+
+    if isinstance(source, (str, Path)):
+        path = Path(source)
+        name = path.stem
+        warmup = int(count_requests(path) * warmup_fraction)
+
+        def run(config):
+            return CacheSimulator(config).run_stream(
+                iter_trace(path), warmup_requests=warmup, trace_name=name)
+    else:
+        trace = (source if isinstance(source, Trace)
+                 else Trace(source.iter_requests(), name=source.name))
+        name = trace.name
+
+        def run(config):
+            return classic(trace, config)
+    sweep = SweepResult(trace_name=name)
+    for policy in policies:
+        for capacity in capacities:
+            sweep.add(run(SimulationConfig(
+                capacity_bytes=capacity, policy=make_policy(policy),
+                warmup_fraction=warmup_fraction)))
+    return sweep
 
 
 def assert_identical(batched, reference):
@@ -181,38 +216,31 @@ class TestSweepEntryPoints:
 
     def test_run_sweep_batched_equals_percell(self):
         trace = mixed_trace(modify_every=17)
-        percell = run_sweep(trace, self.POLICIES, self.CAPACITIES)
-        batched = run_sweep(trace, self.POLICIES, self.CAPACITIES,
-                            engine="batched")
-        assert batched.as_dict() == percell.as_dict()
-
-    def test_run_sweep_rejects_unknown_engine(self):
-        with pytest.raises(ConfigurationError):
-            run_sweep(mixed_trace(60), ["lru"], [4_000], engine="warp")
-        with pytest.raises(ConfigurationError):
-            run_sweep_parallel(mixed_trace(60), ["lru"], [4_000],
-                               engine="warp")
+        batched = run_sweep(trace, self.POLICIES, self.CAPACITIES)
+        reference = reference_sweep(trace, self.POLICIES, self.CAPACITIES)
+        assert batched.as_dict() == reference.as_dict()
 
     def test_parallel_batched_equals_serial(self):
         trace = mixed_trace(modify_every=17)
-        serial = run_sweep(trace, self.POLICIES, self.CAPACITIES)
+        reference = reference_sweep(trace, self.POLICIES, self.CAPACITIES)
         for n_workers in (1, 2):
             parallel = run_sweep_parallel(
                 trace, self.POLICIES, self.CAPACITIES,
-                n_workers=n_workers, engine="batched")
+                n_workers=n_workers)
             for policy in self.POLICIES:
-                assert parallel.series(policy) == serial.series(policy)
+                assert parallel.series(policy) == \
+                    reference.series(policy)
                 assert parallel.series(policy, byte_rate=True) == \
-                    serial.series(policy, byte_rate=True)
+                    reference.series(policy, byte_rate=True)
 
     def test_parallel_batched_cells_per_pass(self):
         trace = mixed_trace()
-        serial = run_sweep(trace, self.POLICIES, self.CAPACITIES)
+        reference = reference_sweep(trace, self.POLICIES, self.CAPACITIES)
         parallel = run_sweep_parallel(
             trace, self.POLICIES, self.CAPACITIES, n_workers=2,
-            engine="batched", cells_per_pass=3)
+            cells_per_pass=3)
         for policy in self.POLICIES:
-            assert parallel.series(policy) == serial.series(policy)
+            assert parallel.series(policy) == reference.series(policy)
 
 
 class TestStreamingPass:
@@ -261,12 +289,11 @@ class TestStreamingPass:
         policies = ["lru", "gd*(1)"]
         capacities = [4_000, 20_000]
         memory = run_sweep(trace, policies, capacities)
-        percell = run_sweep(path, policies, capacities)
-        batched = run_sweep(path, policies, capacities,
-                            engine="batched")
-        assert percell.as_dict() == batched.as_dict()
+        batched = run_sweep(path, policies, capacities)
+        reference = reference_sweep(path, policies, capacities)
+        assert batched.as_dict() == reference.as_dict()
         for policy in policies:
-            assert percell.series(policy) == memory.series(policy)
+            assert batched.series(policy) == memory.series(policy)
             assert batched.series(policy, byte_rate=True) == \
                 memory.series(policy, byte_rate=True)
 
@@ -301,7 +328,6 @@ class TestTelemetry:
         policies = ["lru", "gds(1)"]
         capacities = [4_000, 20_000]
         run_sweep_parallel(trace, policies, capacities, n_workers=2,
-                           engine="batched",
                            telemetry_dir=tmp_path / "tel")
         records = read_events(tmp_path / "tel" / "events.jsonl")
         for policy in policies:
@@ -323,8 +349,7 @@ class TestTelemetry:
             previous = set_event_sink(log)
             try:
                 run_sweep_parallel(trace, ["lru", "gds(1)"],
-                                   [4_000, 20_000], n_workers=2,
-                                   engine="batched")
+                                   [4_000, 20_000], n_workers=2)
             finally:
                 set_event_sink(previous)
         records = read_events(tmp_path / "events.jsonl")
@@ -335,6 +360,20 @@ class TestTelemetry:
                     if r["event"].startswith("pass_")]
         assert len(read_events(tmp_path / "events.jsonl",
                                "cell_finished")) == 4
+
+    def test_in_process_sweep_restores_the_installed_sink(self,
+                                                          tmp_path):
+        """One worker runs in this process; silencing the shared pass
+        there must not uninstall the caller's sink for good."""
+        from repro.observability.events import EventLog, event_sink
+        with EventLog(tmp_path / "events.jsonl") as log:
+            previous = set_event_sink(log)
+            try:
+                run_sweep_parallel(mixed_trace(), ["lru"], [4_000],
+                                   n_workers=1)
+                assert event_sink() is log
+            finally:
+                set_event_sink(previous)
 
 
 class TestAttachContract:

@@ -30,6 +30,7 @@ from repro.simulation.simulator import (
 from repro.simulation.sweep import run_sweep
 from repro.trace.columnar import write_columnar
 from repro.types import DocumentType, Request, Trace
+from tests.simulation.test_engine import reference_sweep
 
 DOC_TYPES = list(DocumentType)
 
@@ -298,34 +299,33 @@ class TestEntryPoints:
         path = self.write(tmp_path, trace)
         memory = self.grid_sans_name(
             run_sweep(trace, self.POLICIES, self.CAPACITIES))
-        percell = self.grid_sans_name(
-            run_sweep(path, self.POLICIES, self.CAPACITIES))
+        reference = self.grid_sans_name(
+            reference_sweep(path, self.POLICIES, self.CAPACITIES))
         batched = self.grid_sans_name(
-            run_sweep(path, self.POLICIES, self.CAPACITIES,
-                      engine="batched"))
-        assert percell == memory
+            run_sweep(path, self.POLICIES, self.CAPACITIES))
+        assert batched == reference
         assert batched == memory
 
     def test_columnar_trace_object_sweep(self, tmp_path, columnar_of):
         trace = mixed_trace(modify_every=17)
         columnar = columnar_of(trace)
-        memory = run_sweep(trace, self.POLICIES, self.CAPACITIES)
-        for engine in ("percell", "batched"):
-            direct = run_sweep(columnar, self.POLICIES, self.CAPACITIES,
-                               engine=engine)
-            assert direct.as_dict() == memory.as_dict()
+        reference = reference_sweep(columnar, self.POLICIES,
+                                    self.CAPACITIES)
+        direct = run_sweep(columnar, self.POLICIES, self.CAPACITIES)
+        assert direct.as_dict() == reference.as_dict()
+        assert direct.as_dict() == run_sweep(
+            trace, self.POLICIES, self.CAPACITIES).as_dict()
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_parallel_columnar_path(self, tmp_path, n_workers):
         trace = mixed_trace(modify_every=17)
         path = self.write(tmp_path, trace)
-        serial = self.grid_sans_name(
-            run_sweep(trace, self.POLICIES, self.CAPACITIES))
-        for engine in ("batched", "percell"):
-            parallel = self.grid_sans_name(run_sweep_parallel(
-                str(path), self.POLICIES, self.CAPACITIES,
-                n_workers=n_workers, engine=engine))
-            assert parallel == serial
+        reference = self.grid_sans_name(
+            reference_sweep(trace, self.POLICIES, self.CAPACITIES))
+        parallel = self.grid_sans_name(run_sweep_parallel(
+            str(path), self.POLICIES, self.CAPACITIES,
+            n_workers=n_workers))
+        assert parallel == reference
 
 
 class TestServiceTrialParity:

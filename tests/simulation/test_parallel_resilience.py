@@ -16,8 +16,8 @@ from repro.errors import (
 )
 from repro.resilience import CheckpointStore, FaultInjector, FaultSpec
 from repro.simulation.parallel import (
-    _run_cell,
     _reset_worker,
+    _run_batch,
     cell_key,
     run_sweep_parallel,
 )
@@ -141,6 +141,29 @@ class TestPermanentErrors:
         assert failure.attempts == 1
         assert sweep.grid["lru"][4000].counted_requests > 0
 
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_failing_cell_spares_its_batch_mates(self, trace, serial,
+                                                 n_workers):
+        """Two workers put ``lru`` and the bad policy in one batch; one
+        worker runs all three cells in one in-process batch.  Either
+        way only the bad cell is lost."""
+        sweep = run_sweep_parallel(
+            trace, ["lru", "no-such-policy", "gds(1)"], [4000],
+            n_workers=n_workers, failure_policy="partial",
+            max_retries=0)
+        (failure,) = sweep.failures
+        assert failure.policy == "no-such-policy"
+        assert failure.error_type == "ConfigurationError"
+        assert failure.attempts == 1
+        for policy in ("lru", "gds(1)"):
+            assert sweep.grid[policy][4000].as_dict() == \
+                serial.grid[policy][4000].as_dict()
+
+    def test_in_process_sweep_raises_by_default(self, trace):
+        with pytest.raises(ConfigurationError):
+            run_sweep_parallel(trace, ["lru", "no-such-policy"], [4000],
+                               n_workers=1)
+
 
 class TestValidation:
     def test_bad_failure_policy_rejected(self, trace):
@@ -155,7 +178,7 @@ class TestValidation:
     def test_run_cell_without_initializer_raises_clear_error(self):
         _reset_worker()
         with pytest.raises(SimulationError, match="initializer"):
-            _run_cell(("lru", 4000, 0.1, "trusted", 1))
+            _run_batch(((("lru", 4000),), 0.1, "trusted", 1, None))
 
 
 class TestCellCheckpoints:

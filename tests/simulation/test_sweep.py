@@ -66,12 +66,6 @@ class TestRunSweep:
         series = sweep.series("lru")
         assert [cap for cap, _ in series] == [5000, 20_000]
 
-    def test_progress_callback(self):
-        calls = []
-        run_sweep(small_trace(), ["lru"], [5000],
-                  progress=lambda p, c: calls.append((p, c)))
-        assert calls == [("lru", 5000)]
-
     def test_policy_kwargs_forwarded(self):
         trace = small_trace()
         sweep = run_sweep(trace, ["gd*(1)"], [5000],
